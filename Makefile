@@ -1,17 +1,24 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check tier1 race fuzz-smoke trace-smoke cluster-smoke remote-smoke cluster-trace-smoke tknp-smoke fmt-check bench-steady bench-cluster bench-tknp
+.PHONY: check tier1 perfbench-vet race fuzz-smoke trace-smoke cluster-smoke remote-smoke cluster-trace-smoke tknp-smoke fmt-check bench-steady bench-cluster bench-tknp
 
-# check runs everything a PR must pass: tier-1 build+tests, the race
-# tier (see ROADMAP.md), gofmt enforcement, a short fuzz smoke of both
-# fuzz targets, the trace-out round-trip smoke, and the cluster smokes
-# (in-process, remote-transport, and distributed-tracing).
-check: tier1 race fmt-check fuzz-smoke trace-smoke cluster-smoke remote-smoke cluster-trace-smoke tknp-smoke
+# check runs everything a PR must pass: tier-1 build+tests, a vet of the
+# separate perfbench module, the race tier (see ROADMAP.md), gofmt
+# enforcement, a short fuzz smoke of both fuzz targets, the trace-out
+# round-trip smoke, and the cluster smokes (in-process, remote-transport,
+# and distributed-tracing).
+check: tier1 perfbench-vet race fmt-check fuzz-smoke trace-smoke cluster-smoke remote-smoke cluster-trace-smoke tknp-smoke
 
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
+
+# perfbench-vet compiles and vets the benchmark module. It is its own Go
+# module, so the root build never sees it: an API change it depends on
+# would otherwise pass tier-1 and break only the benchmark runs.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 race:
 	$(GO) vet ./...

@@ -48,15 +48,15 @@ func TestWriteTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := rt.Submit(64, 8)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	h, err := rt.SubmitBatchedSpec(ctx, runtime.SubmitSpec{PromptLen: 64, MaxTokens: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range h.Events {
+	for h.Next(ctx) != nil {
 	}
 	<-h.Done()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	if err := rt.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}

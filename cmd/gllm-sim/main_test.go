@@ -16,16 +16,15 @@ func params() core.Params { return core.DefaultParams() }
 
 func TestRunSmoke(t *testing.T) {
 	dir := t.TempDir()
-	chrome := filepath.Join(dir, "trace.json")
 	iters := filepath.Join(dir, "iters.csv")
 	util := filepath.Join(dir, "util.csv")
 	err := run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "sharegpt", "",
 		2, 10*time.Second, 7, 0.9, 2048, params(),
-		chrome, iters, util, 2*time.Second, 100*time.Millisecond, simOptions{})
+		iters, util, 2*time.Second, 100*time.Millisecond, simOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{chrome, iters, util} {
+	for _, f := range []string{iters, util} {
 		st, err := os.Stat(f)
 		if err != nil {
 			t.Fatalf("%s missing: %v", f, err)
@@ -41,7 +40,7 @@ func TestRunTraceOut(t *testing.T) {
 	out := filepath.Join(dir, "spans.json")
 	err := run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "sharegpt", "",
 		2, 5*time.Second, 7, 0.9, 2048, params(),
-		"", "", "", 0, 0, simOptions{traceOut: out})
+		"", "", 0, 0, simOptions{traceOut: out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +63,7 @@ func TestRunTraceOut(t *testing.T) {
 
 func TestRunTensorParallel(t *testing.T) {
 	err := run("Qwen2.5-14B", "L20-48GB", 1, 4, "tp", 1, "sarathi", "sglang", "sharegpt", "",
-		1, 5*time.Second, 7, 0.9, 2048, params(), "", "", "", 0, 0, simOptions{})
+		1, 5*time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestRunTokenParallel(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "spans.json")
 	err := run("Qwen2.5-14B", "L20-48GB", 1, 4, "tokenpar", 2, "sarathi", "gllm", "sharegpt", "",
-		1, 5*time.Second, 7, 0.9, 2048, params(), "", "", "", 0, 0, simOptions{traceOut: out})
+		1, 5*time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{traceOut: out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +92,14 @@ func TestRunTokenParallel(t *testing.T) {
 	}
 	// Root TP wider than the deployment must be rejected.
 	if err := run("Qwen2.5-14B", "L20-48GB", 1, 4, "tknp", 5, "sarathi", "gllm", "sharegpt", "",
-		1, time.Second, 7, 0.9, 2048, params(), "", "", "", 0, 0, simOptions{}); err == nil {
+		1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{}); err == nil {
 		t.Fatal("root TP 5 on 4 GPUs accepted")
 	}
 }
 
 func TestRunFeatureToggles(t *testing.T) {
 	err := run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "sharegpt", "",
-		1, 8*time.Second, 7, 0.9, 2048, params(), "", "", "", 0, 0,
+		1, 8*time.Second, 7, 0.9, 2048, params(), "", "", 0, 0,
 		simOptions{enableCPP: true, prefixCache: true, costAware: true, convs: true})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +119,7 @@ func TestRunTraceReplay(t *testing.T) {
 	}
 	f.Close()
 	err = run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "", tracePath,
-		0, 0, 0, 0.9, 2048, params(), "", "", "", 0, 0, simOptions{})
+		0, 0, 0, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,35 +132,35 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{"bad model", func() error {
 			return run("GPT-9", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "sharegpt", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", "", 0, 0, simOptions{})
+				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
 		}},
 		{"bad gpu", func() error {
 			return run("Qwen2.5-14B", "H900", 1, 4, "pp", 1, "gllm", "", "sharegpt", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", "", 0, 0, simOptions{})
+				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
 		}},
 		{"bad sched", func() error {
 			return run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "fcfs", "", "sharegpt", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", "", 0, 0, simOptions{})
+				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
 		}},
 		{"bad runtime", func() error {
 			return run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "rust", "sharegpt", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", "", 0, 0, simOptions{})
+				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
 		}},
 		{"bad dataset", func() error {
 			return run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "pile", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", "", 0, 0, simOptions{})
+				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
 		}},
 		{"bad parallelism", func() error {
 			return run("Qwen2.5-14B", "L20-48GB", 1, 4, "dp", 1, "gllm", "", "sharegpt", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", "", 0, 0, simOptions{})
+				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
 		}},
 		{"cost-aware on sarathi", func() error {
 			return run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "sarathi", "", "sharegpt", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", "", 0, 0, simOptions{costAware: true})
+				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{costAware: true})
 		}},
 		{"missing trace file", func() error {
 			return run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "", "/nonexistent.json",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", "", 0, 0, simOptions{})
+				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
 		}},
 	}
 	for _, tc := range cases {

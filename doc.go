@@ -18,7 +18,7 @@
 //	internal/server      OpenAI-compatible REST frontend
 //	internal/client      open-loop benchmark client
 //	internal/experiments per-figure/table reproduction drivers
-//	internal/{sim,gpu,model,network,kvcache,request,workload,metrics,stats,trace}
+//	internal/{sim,gpu,model,network,kvcache,request,workload,metrics,stats,obs}
 //	                     substrates
 //	cmd/                 gllm-sim, gllm-server, gllm-bench, gllm-experiments, gllm-loc
 //	examples/            runnable walkthroughs of the public surface

@@ -12,12 +12,12 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"time"
 
 	"gllm/internal/engine"
 	"gllm/internal/gpu"
 	"gllm/internal/model"
 	"gllm/internal/network"
+	"gllm/internal/obs"
 	"gllm/internal/sched"
 	"gllm/internal/stats"
 	"gllm/internal/workload"
@@ -36,14 +36,16 @@ func main() {
 		{"sarathi", sched.NewSarathi(2048), engine.VLLMRuntime},
 		{"gllm", sched.NewDefaultThrottle(), engine.GLLMRuntime},
 	} {
+		topo := network.IntraNode(4, network.PCIe)
+		rec := obs.NewRecorder(topo.GPUs(), 0)
 		res, err := engine.RunPipeline(engine.Config{
-			Model:       model.Qwen25_32B,
-			GPU:         gpu.L20,
-			Topo:        network.IntraNode(4, network.PCIe),
-			MemUtil:     0.9,
-			Scheduler:   sys.sched,
-			Runtime:     sys.rt,
-			EnableTrace: true,
+			Model:     model.Qwen25_32B,
+			GPU:       gpu.L20,
+			Topo:      topo,
+			MemUtil:   0.9,
+			Scheduler: sys.sched,
+			Runtime:   sys.rt,
+			Spans:     rec,
 		}, items)
 		if err != nil {
 			log.Fatal(err)
@@ -54,21 +56,19 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := res.Trace.WriteChrome(f); err != nil {
+		if err := rec.WriteChrome(f); err != nil {
 			log.Fatal(err)
 		}
 		f.Close()
 
 		fmt.Printf("%-8s: %4d micro-batches, makespan %6.1fs, bubble fraction %.3f\n",
 			sys.name, res.Injections, res.Makespan.Seconds(), res.BubbleFraction)
-		for stage := 0; stage < res.Trace.Stages(); stage++ {
-			busy := res.Trace.StageBusy(stage)
+		for _, st := range rec.AccountOver(res.Makespan).Stages {
 			fmt.Printf("  stage %d busy %6.1fs (%.1f%% of makespan)\n",
-				stage, busy.Seconds(), 100*float64(busy)/float64(res.Makespan))
+				st.Stage, st.Busy.Seconds(), 100*float64(st.Busy)/float64(res.Makespan))
 		}
 		fmt.Printf("  chrome trace: %s\n\n", path)
 	}
 	fmt.Println("open the traces in chrome://tracing — the gaps between spans are")
 	fmt.Println("the pipeline bubbles; gLLM's timeline should be visibly denser.")
-	_ = time.Second
 }

@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("runtime up: %s across 4 stages, KV capacity %d tokens\n\n",
 		model.Qwen25_32B.Name, rt.KVCapacityTokens())
 
-	// 2. Submit requests; each handle streams its tokens on a channel.
+	// 2. Submit requests; each handle streams its tokens in batches.
 	prompts := []struct {
 		text      string
 		maxTokens int
@@ -51,9 +51,13 @@ func main() {
 		prompt string
 		h      *runtime.Handle
 	}
+	ctx := context.Background()
 	var inflight []pending
 	for _, p := range prompts {
-		h, err := rt.Submit(runtime.TokenizeLen(p.text), p.maxTokens)
+		h, err := rt.SubmitBatchedSpec(ctx, runtime.SubmitSpec{
+			PromptLen: runtime.TokenizeLen(p.text),
+			MaxTokens: p.maxTokens,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,8 +69,10 @@ func main() {
 	for _, p := range inflight {
 		fmt.Printf("prompt:  %q\n", p.prompt)
 		fmt.Print("output:  ")
-		for ev := range p.h.Events {
-			fmt.Print(ev.Text)
+		for evs := p.h.Next(ctx); evs != nil; evs = p.h.Next(ctx) {
+			for _, ev := range evs {
+				fmt.Print(ev.Text)
+			}
 		}
 		fmt.Println()
 	}

@@ -3,7 +3,7 @@
 // machines exactly like in-process ones. The transport adapts the server's
 // wire surface back into the Engine contract:
 //
-//   - SubmitBatchedPrefix POSTs /v1/completions (stream=true) and pumps the
+//   - SubmitBatchedSpec POSTs /v1/completions (stream=true) and pumps the
 //     SSE response into a runtime proxy handle, so consumers drain remote
 //     tokens through the same Handle.Next slab path as local ones;
 //   - Pressure is served from a cache maintained by a background prober
@@ -283,17 +283,6 @@ type remoteChunk struct {
 		Text         string `json:"text"`
 		FinishReason string `json:"finish_reason"`
 	} `json:"choices"`
-}
-
-// SubmitBatchedPrefix adapts the legacy positional submit surface onto
-// SubmitBatchedSpec (no trace context).
-func (r *Remote) SubmitBatchedPrefix(ctx context.Context, promptLen, maxTokens int, group int64, sharedLen int) (*runtime.Handle, error) {
-	return r.SubmitBatchedSpec(ctx, runtime.SubmitSpec{
-		PromptLen:       promptLen,
-		MaxTokens:       maxTokens,
-		PrefixGroup:     group,
-		SharedPrefixLen: sharedLen,
-	})
 }
 
 // SubmitBatchedSpec opens one streaming completion against the remote

@@ -24,7 +24,6 @@ import (
 	"gllm/internal/request"
 	"gllm/internal/sched"
 	"gllm/internal/stats"
-	"gllm/internal/trace"
 	"gllm/internal/workload"
 )
 
@@ -164,8 +163,6 @@ type Config struct {
 	// GPUs. A nil recorder costs nothing on the micro-batch path.
 	Spans *obs.Recorder
 
-	// EnableTrace records per-stage spans (Chrome-trace exportable).
-	EnableTrace bool
 	// UtilSampleEvery, when positive, samples per-stage utilization on that
 	// period (Figure 4's time series).
 	UtilSampleEvery time.Duration
@@ -225,9 +222,7 @@ type Result struct {
 	Iterations    []IterRecord
 	// StageUtil holds one utilization time series per stage when sampling
 	// was enabled.
-	StageUtil []*stats.TimeSeries
-	// Trace holds per-stage spans when tracing was enabled.
-	Trace       *trace.Trace
+	StageUtil   []*stats.TimeSeries
 	Preemptions int
 	Injections  int
 	// Makespan is the virtual time of the last request completion.

@@ -162,26 +162,6 @@ func TestUtilizationSampling(t *testing.T) {
 	}
 }
 
-func TestTraceRecording(t *testing.T) {
-	cfg := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
-	cfg.EnableTrace = true
-	items := workload.Uniform(5, 200, 20, time.Second)
-	res, err := RunPipeline(cfg, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace == nil || res.Trace.Len() == 0 {
-		t.Fatal("no trace recorded")
-	}
-	// Every injection crosses all 4 stages exactly once.
-	if res.Trace.Len() != res.Injections*4 {
-		t.Fatalf("spans = %d, want %d", res.Trace.Len(), res.Injections*4)
-	}
-	if bf := res.Trace.BubbleFraction(); bf < 0 || bf >= 1 {
-		t.Fatalf("trace bubble fraction = %v", bf)
-	}
-}
-
 func TestPipelineErrorPaths(t *testing.T) {
 	good := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
 	items := workload.Uniform(1, 10, 2, 0)

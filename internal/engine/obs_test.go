@@ -8,6 +8,7 @@ import (
 
 	"gllm/internal/obs"
 	"gllm/internal/sched"
+	"gllm/internal/workload"
 )
 
 // The observability acceptance criterion: spans recorded during a pipeline
@@ -57,6 +58,34 @@ func TestPipelineSpansReconstructBubbleAccounting(t *testing.T) {
 	}
 	if diff := math.Abs(acc.BubbleRate - res.BubbleFraction); diff > 0.01 {
 		t.Fatalf("bubble rate: trace %v vs engine %v", acc.BubbleRate, res.BubbleFraction)
+	}
+}
+
+// Every injection crosses all 4 stages exactly once, so the recorder holds
+// one exec span per injection per stage, and the stages idle for some but
+// not all of the recorded extent.
+func TestTraceRecording(t *testing.T) {
+	cfg := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
+	rec := obs.NewRecorder(cfg.Topo.GPUs(), 0)
+	cfg.Spans = rec
+	res, err := RunPipeline(cfg, workload.Uniform(5, 200, 20, time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Dropped() != 0 {
+		t.Fatalf("ring dropped %d spans", rec.Dropped())
+	}
+	exec := 0
+	for _, s := range rec.Spans() {
+		if s.Kind == obs.KindExec {
+			exec++
+		}
+	}
+	if exec == 0 || exec != res.Injections*4 {
+		t.Fatalf("exec spans = %d, want %d", exec, res.Injections*4)
+	}
+	if bf := rec.Account().BubbleRate; bf < 0 || bf >= 1 {
+		t.Fatalf("trace bubble fraction = %v", bf)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"gllm/internal/sched"
 	"gllm/internal/sim"
 	"gllm/internal/stats"
-	"gllm/internal/trace"
 	"gllm/internal/workload"
 )
 
@@ -32,7 +31,6 @@ type pipelineRun struct {
 	injections int
 	collector  metrics.Collector
 	iterations []IterRecord
-	tr         *trace.Trace
 	utilSeries []*stats.TimeSeries
 	lastBusy   []time.Duration
 
@@ -86,9 +84,6 @@ func RunPipeline(cfg Config, items []workload.Item) (*Result, error) {
 	r.stages = make([]*sim.Resource, depth)
 	for i := range r.stages {
 		r.stages[i] = sim.NewResource(r.eng, fmt.Sprintf("stage%d", i))
-	}
-	if cfg.EnableTrace {
-		r.tr = trace.New(depth)
 	}
 	if cfg.UtilSampleEvery > 0 {
 		r.utilSeries = make([]*stats.TimeSeries, depth)
@@ -186,9 +181,6 @@ func (r *pipelineRun) startStage(i int, fb *inFlightBatch) {
 	dur := r.cost.StageTime(fb.shape, r.stageLayers[i])
 	r.stages[i].Submit(dur, func() {
 		now := r.eng.Now()
-		if r.tr != nil {
-			r.tr.Add(i, fmt.Sprintf("mb%d", fb.seq), now-dur, now, fb.shape.Tokens())
-		}
 		r.cfg.Spans.Record(i, obs.KindExec, fb.seq, fb.shape.Tokens(), now-dur, now)
 		if i+1 < len(r.stages) {
 			actBytes := int64(fb.shape.Tokens()) * r.cfg.Model.ActivationBytesPerToken()
@@ -249,7 +241,6 @@ func (r *pipelineRun) result(kvCap int64) *Result {
 		Collector:        &r.collector,
 		Iterations:       r.iterations,
 		StageUtil:        r.utilSeries,
-		Trace:            r.tr,
 		Preemptions:      r.pool.Preemptions(),
 		Injections:       r.injections,
 		Makespan:         makespan,

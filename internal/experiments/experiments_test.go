@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"gllm/internal/model"
+	"gllm/internal/runtime"
 	"gllm/internal/workload"
 )
 
@@ -258,6 +261,26 @@ func TestTable1OutputEquivalence(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "IDENTICAL") {
 		t.Fatalf("render: %s", res.String())
+	}
+}
+
+// A stream cut short must fail the Table 1 check even though both
+// schedulers would digest the same truncated tokens.
+func TestDrainDigestRejectsTruncatedStream(t *testing.T) {
+	h, feed := runtime.NewProxyHandle(3, nil)
+	feed.Deliver(runtime.TokenEvent{ReqID: 3, Index: 0, Token: 11},
+		runtime.TokenEvent{ReqID: 3, Index: 1, Token: 12})
+	feed.Close(runtime.FinishShutdown)
+	if err := drainDigest(context.Background(), h, 4, fnv.New64a()); err == nil {
+		t.Fatal("truncated stream accepted")
+	}
+
+	h, feed = runtime.NewProxyHandle(4, nil)
+	feed.Deliver(runtime.TokenEvent{ReqID: 4, Index: 0, Token: 11},
+		runtime.TokenEvent{ReqID: 4, Index: 1, Token: 12, Finished: true, Reason: runtime.FinishLength})
+	feed.Close(runtime.FinishLength)
+	if err := drainDigest(context.Background(), h, 2, fnv.New64a()); err != nil {
+		t.Fatalf("complete stream rejected: %v", err)
 	}
 }
 

@@ -3,8 +3,10 @@ package experiments
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,7 +59,7 @@ func Table1Equivalence(seed uint64, n int, srcRoot string) (*Table1Result, error
 			Async:     true,
 		})
 	}
-	serve := func(rt *runtime.Runtime, items []workload.Item) (uint64, error) {
+	serve := func(ctx context.Context, rt *runtime.Runtime, items []workload.Item) (uint64, error) {
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
@@ -65,7 +67,9 @@ func Table1Equivalence(seed uint64, n int, srcRoot string) (*Table1Result, error
 		}()
 		handles := make([]*runtime.Handle, len(items))
 		for i, it := range items {
-			h, err := rt.Submit(it.PromptLen, it.OutputLen)
+			h, err := rt.SubmitBatchedSpec(ctx, runtime.SubmitSpec{
+				PromptLen: it.PromptLen, MaxTokens: it.OutputLen,
+			})
 			if err != nil {
 				return 0, err
 			}
@@ -74,15 +78,9 @@ func Table1Equivalence(seed uint64, n int, srcRoot string) (*Table1Result, error
 		// Digest tokens ordered by (request, index): stream interleaving
 		// differs across schedulers, content must not.
 		d := fnv.New64a()
-		for _, h := range handles {
-			for ev := range h.Events {
-				var buf [8]byte
-				for i := 0; i < 8; i++ {
-					buf[i] = byte(ev.Token >> (8 * i))
-				}
-				if _, err := d.Write(buf[:]); err != nil {
-					return 0, err
-				}
+		for i, h := range handles {
+			if err := drainDigest(ctx, h, items[i].OutputLen, d); err != nil {
+				return 0, err
 			}
 		}
 		return d.Sum64(), nil
@@ -101,12 +99,12 @@ func Table1Equivalence(seed uint64, n int, srcRoot string) (*Table1Result, error
 		{"sarathi", func() sched.Scheduler { return sched.NewSarathi(2048) }},
 	}
 	digests, err := RunGrid(context.Background(), variants, 0,
-		func(_ context.Context, v variant) (uint64, error) {
+		func(ctx context.Context, v variant) (uint64, error) {
 			rt, err := mk(v.mk())
 			if err != nil {
 				return 0, err
 			}
-			d, err := serve(rt, items)
+			d, err := serve(ctx, rt, items)
 			if err != nil {
 				return 0, fmt.Errorf("experiments table1: %s serve: %w", v.name, err)
 			}
@@ -132,6 +130,34 @@ func Table1Equivalence(seed uint64, n int, srcRoot string) (*Table1Result, error
 		res.LinesOfCode = loc
 	}
 	return res, nil
+}
+
+// drainDigest drains one handle, writing each token's value to d as 8
+// little-endian bytes, and checks that the stream ran to completion:
+// exactly want events, the last one Finished with FinishLength. A stream
+// cut short would otherwise digest identically under both schedulers.
+func drainDigest(ctx context.Context, h *runtime.Handle, want int, d io.Writer) error {
+	n := 0
+	var last runtime.TokenEvent
+	for evs := h.Next(ctx); evs != nil; evs = h.Next(ctx) {
+		for _, ev := range evs {
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], ev.Token)
+			if _, err := d.Write(buf[:]); err != nil {
+				return err
+			}
+			last = ev
+			n++
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if n != want || !last.Finished || last.Reason != runtime.FinishLength {
+		return fmt.Errorf("request %d: %d/%d events, terminal %v %q",
+			h.ID, n, want, last.Finished, last.Reason)
+	}
+	return nil
 }
 
 // String renders the comparison.

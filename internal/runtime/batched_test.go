@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"os"
 	goruntime "runtime"
 	"runtime/debug"
 	"strings"
@@ -17,35 +18,27 @@ import (
 	"gllm/internal/sched"
 )
 
-// collectBatched drains a SubmitBatched handle through Next, copying each
-// slab (the slices are recycled by the following Next call).
-func collectBatched(t *testing.T, h *Handle) []TokenEvent {
-	t.Helper()
-	var events []TokenEvent
-	deadline, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for {
-		evs := h.Next(deadline)
-		if evs == nil {
-			if deadline.Err() != nil {
-				t.Fatalf("timed out after %d events", len(events))
-			}
-			return events
-		}
-		events = append(events, evs...)
+// renderStream canonicalizes one request's token stream for byte-exact
+// comparison against testdata/streams.golden.
+func renderStream(events []TokenEvent) string {
+	var sb strings.Builder
+	for _, ev := range events {
+		fmt.Fprintf(&sb, "%d/%d/%d/%s/%v/%s\n",
+			ev.ReqID, ev.Index, ev.Token, ev.Text, ev.Finished, ev.Reason)
 	}
+	return sb.String()
 }
 
+// A slab stream ends in exactly one terminal event: the last slab carries
+// Finished with FinishLength, Done is closed by then, FinishReason agrees,
+// and Next on the finished stream returns nil at once.
 func TestBatchedStreamsAllTokens(t *testing.T) {
 	rt := testRuntime(t, true)
-	h, err := rt.SubmitBatched(context.Background(), 100, 20)
+	h, err := submit(rt, 100, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Events != nil {
-		t.Fatal("batched handle exposes an events channel")
-	}
-	events := collectBatched(t, h)
+	events := collect(t, h)
 	if len(events) != 20 {
 		t.Fatalf("events = %d, want 20", len(events))
 	}
@@ -80,21 +73,16 @@ func TestBatchedStreamsAllTokens(t *testing.T) {
 	}
 }
 
-// renderStream canonicalizes one request's token stream for byte-exact
-// comparison across delivery modes.
-func renderStream(events []TokenEvent) string {
-	var sb strings.Builder
-	for _, ev := range events {
-		fmt.Fprintf(&sb, "%d/%d/%d/%s/%v/%s\n",
-			ev.ReqID, ev.Index, ev.Token, ev.Text, ev.Finished, ev.Reason)
-	}
-	return sb.String()
-}
-
-// Batched delivery is a transport change only: under every scheduler policy
-// the per-request event streams must be byte-identical to the per-token
-// channel baseline, and every handle must terminate exactly once.
+// Slab delivery must reproduce the per-token reference exactly: under every
+// scheduler policy the six requests' streams, concatenated in submission
+// order, must match testdata/streams.golden byte for byte. The fixture was
+// rendered once from the runtime's former per-token channel transport, and
+// token content is scheduling-invariant, so one file serves all nine.
 func TestBatchedMatchesPerTokenAcrossSchedulers(t *testing.T) {
+	golden, err := os.ReadFile("testdata/streams.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
 	names := []string{
 		"sarathi", "gllm-ck", "vllm-ve", "td-pipe", "orca",
 		"batch-level", "gllm", "gllm-no-wt", "gllm-no-ut",
@@ -107,68 +95,39 @@ func TestBatchedMatchesPerTokenAcrossSchedulers(t *testing.T) {
 	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			streams := make(map[bool][]string) // batched? -> rendered streams
-			for _, batched := range []bool{false, true} {
-				s, err := sched.ByName(name, 2048, core.DefaultParams())
-				if err != nil {
-					t.Fatal(err)
-				}
-				rt, err := Start(Config{
-					Model:     model.Qwen25_14B,
-					GPU:       gpu.L20,
-					Topo:      network.IntraNode(4, network.PCIe),
-					Scheduler: s,
-					Async:     true,
-					TimeScale: 0,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				handles := make([]*Handle, len(workload))
-				for i, wsp := range workload {
-					var h *Handle
-					if batched {
-						h, err = rt.SubmitBatched(context.Background(), wsp.prompt, wsp.out)
-					} else {
-						h, err = rt.Submit(wsp.prompt, wsp.out)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					handles[i] = h
-				}
-				rendered := make([]string, len(handles))
-				for i, h := range handles {
-					var events []TokenEvent
-					if batched {
-						events = collectBatched(t, h)
-					} else {
-						events = collect(t, h)
-					}
-					terminal := 0
-					for _, ev := range events {
-						if ev.Finished {
-							terminal++
-						}
-					}
-					if terminal != 1 {
-						t.Fatalf("%s batched=%v request %d: %d terminal events",
-							name, batched, i, terminal)
-					}
-					rendered[i] = renderStream(events)
-				}
-				streams[batched] = rendered
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				if err := rt.Shutdown(ctx); err != nil {
-					t.Fatal(err)
-				}
-				cancel()
+			s, err := sched.ByName(name, 2048, core.DefaultParams())
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range workload {
-				if streams[true][i] != streams[false][i] {
-					t.Fatalf("request %d streams differ\nbatched:\n%s\nper-token:\n%s",
-						i, streams[true][i], streams[false][i])
+			rt, err := Start(Config{
+				Model:     model.Qwen25_14B,
+				GPU:       gpu.L20,
+				Topo:      network.IntraNode(4, network.PCIe),
+				Scheduler: s,
+				Async:     true,
+				TimeScale: 0,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles := make([]*Handle, len(workload))
+			for i, wsp := range workload {
+				if handles[i], err = submit(rt, wsp.prompt, wsp.out); err != nil {
+					t.Fatal(err)
 				}
+			}
+			var got strings.Builder
+			for _, h := range handles {
+				got.WriteString(renderStream(collect(t, h)))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := rt.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != string(golden) {
+				t.Fatalf("streams differ from testdata/streams.golden\ngot:\n%s\nwant:\n%s",
+					got.String(), golden)
 			}
 		})
 	}
@@ -203,7 +162,7 @@ func pacedRuntime(t *testing.T) *Runtime {
 // abort event and Next then reports a drained stream.
 func TestBatchedCancelMidBatch(t *testing.T) {
 	rt := pacedRuntime(t)
-	h, err := rt.SubmitBatched(context.Background(), 64, 100000)
+	h, err := submit(rt, 64, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +212,7 @@ func TestBatchedCancelMidBatch(t *testing.T) {
 func TestBatchedContextCancel(t *testing.T) {
 	rt := pacedRuntime(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	h, err := rt.SubmitBatched(ctx, 64, 100000)
+	h, err := rt.SubmitBatchedSpec(ctx, SubmitSpec{PromptLen: 64, MaxTokens: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +251,8 @@ func TestBatchedContextCancel(t *testing.T) {
 	<-h.Done()
 }
 
-// Graceful drain completes queued batched work (streams end with "length"),
-// mirroring the per-token drain guarantee.
+// Graceful drain on an unpaced runtime (TimeScale 0) completes queued work:
+// every stream ends with "length" after its full output.
 func TestBatchedShutdownDrains(t *testing.T) {
 	rt, err := Start(Config{
 		Model:     model.Qwen25_14B,
@@ -309,7 +268,7 @@ func TestBatchedShutdownDrains(t *testing.T) {
 	const n = 8
 	handles := make([]*Handle, n)
 	for i := range handles {
-		handles[i], err = rt.SubmitBatched(context.Background(), 50+i*13, 4+i)
+		handles[i], err = submit(rt, 50+i*13, 4+i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +279,7 @@ func TestBatchedShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, h := range handles {
-		events := collectBatched(t, h)
+		events := collect(t, h)
 		if len(events) != 4+i {
 			t.Fatalf("request %d: %d events, want %d", i, len(events), 4+i)
 		}
@@ -338,7 +297,7 @@ func TestBatchedCloseAborts(t *testing.T) {
 	handles := make([]*Handle, n)
 	var err error
 	for i := range handles {
-		handles[i], err = rt.SubmitBatched(context.Background(), 64, 100000)
+		handles[i], err = submit(rt, 64, 100000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,7 +348,7 @@ func TestBatchedTerminatesExactlyOnceUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			h, err := rt.SubmitBatched(context.Background(), 40+k*7, 6+k%9)
+			h, err := submit(rt, 40+k*7, 6+k%9)
 			if err != nil {
 				errs <- err
 				return
@@ -464,7 +423,7 @@ func TestSteadyStateAllocsPerToken(t *testing.T) {
 	defer rt.Close()
 
 	run := func(tokens int) {
-		h, err := rt.SubmitBatched(context.Background(), 128, tokens)
+		h, err := submit(rt, 128, tokens)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,10 +17,10 @@ import (
 //
 // It is also the single authority over request termination: every admitted
 // submission leaves through finishSub exactly once (normal completion,
-// cancellation, timeout, or shutdown), which closes its done and events
-// channels and releases its admission accounting. Cancellation is
-// cooperative — requests with work in an executing micro-batch are parked
-// in pendingCancels and aborted at the next batch boundary, so a freed KV
+// cancellation, timeout, or shutdown), which closes its stream and
+// releases its admission accounting. Cancellation is cooperative —
+// requests with work in an executing micro-batch are parked in
+// pendingCancels and aborted at the next batch boundary, so a freed KV
 // sequence is never referenced by in-flight compute.
 func (rt *Runtime) driverLoop() {
 	defer close(rt.stopped)
@@ -90,20 +90,10 @@ func (rt *Runtime) driverLoop() {
 	}
 
 	// finishSub finalizes a submission: exactly once per request, after its
-	// last event was sent. Closing done before the delivery transport lets
-	// FinishReason observe the reason as soon as the stream drains.
+	// last event was delivered.
 	finishSub := func(sub *submission, reason FinishReason) {
-		sub.reason = reason
 		recordReqSpans(sub.req, reason)
-		close(sub.done)
-		if sub.batched {
-			sub.dmu.Lock()
-			sub.dclosed = true
-			sub.dmu.Unlock()
-			sub.notifyDelivery()
-		} else {
-			close(sub.events)
-		}
+		sub.closeStream(reason)
 		delete(subs, sub.req.ID)
 		delete(pendingCancels, sub.req.ID)
 		rt.resident.Store(int64(len(subs)))
@@ -120,26 +110,15 @@ func (rt *Runtime) driverLoop() {
 
 	// abortEvent terminates a request early: one synthetic, empty-Text
 	// terminal event carrying the reason, then finalization. Never blocks:
-	// slabs grow as needed, and an unfinished per-token request has emitted
-	// at most OutputLen-1 tokens into an OutputLen-sized buffer.
+	// slabs grow as needed.
 	abortEvent := func(sub *submission, reason FinishReason) {
-		ev := TokenEvent{
+		sub.deliver(TokenEvent{
 			ReqID:    sub.req.ID,
 			Index:    sub.req.Generated(),
 			Finished: true,
 			Reason:   reason,
-		}
-		if sub.batched {
-			sub.dmu.Lock()
-			if sub.pending == nil {
-				sub.pending = slabPool.Get().(*eventSlab)
-			}
-			sub.pending.evs = append(sub.pending.evs, ev)
-			sub.dmu.Unlock()
-		} else {
-			sub.events <- ev
-		}
-		finishSub(sub, reason) // closes the stream and wakes batched waiters
+		})
+		finishSub(sub, reason)
 	}
 
 	// abortResident removes an admitted, quiescent request from the pool,
@@ -158,9 +137,8 @@ func (rt *Runtime) driverLoop() {
 	// emit streams the tokens a request gained since its last delivery
 	// (indices Emitted..Generated-1). Idempotent within a batch — the
 	// emitted watermark on the request replaces the per-batch progress map
-	// this used to allocate. Never blocks the driver: batched submissions
-	// get one slab append + wakeup, per-token channels are buffered for the
-	// full output.
+	// this used to allocate. Never blocks the driver: each token is one
+	// slab append + wakeup.
 	emit := func(r *request.Request) {
 		sub := subs[r.ID]
 		if sub == nil {
@@ -172,44 +150,19 @@ func (rt *Runtime) driverLoop() {
 		if pre == gen && !fin {
 			return
 		}
-		if sub.batched {
-			sub.dmu.Lock()
-			s := sub.pending
-			if s == nil {
-				s = slabPool.Get().(*eventSlab)
-				sub.pending = s
+		for i := pre; i < gen; i++ {
+			tok := TokenValue(r.ID, i)
+			ev := TokenEvent{
+				ReqID:    r.ID,
+				Index:    i,
+				Token:    tok,
+				Text:     TokenText(tok),
+				Finished: fin && i == gen-1,
 			}
-			for i := pre; i < gen; i++ {
-				tok := TokenValue(r.ID, i)
-				ev := TokenEvent{
-					ReqID:    r.ID,
-					Index:    i,
-					Token:    tok,
-					Text:     TokenText(tok),
-					Finished: fin && i == gen-1,
-				}
-				if ev.Finished {
-					ev.Reason = FinishLength
-				}
-				s.evs = append(s.evs, ev)
+			if ev.Finished {
+				ev.Reason = FinishLength
 			}
-			sub.dmu.Unlock()
-			sub.notifyDelivery()
-		} else {
-			for i := pre; i < gen; i++ {
-				tok := TokenValue(r.ID, i)
-				ev := TokenEvent{
-					ReqID:    r.ID,
-					Index:    i,
-					Token:    tok,
-					Text:     TokenText(tok),
-					Finished: fin && i == gen-1,
-				}
-				if ev.Finished {
-					ev.Reason = FinishLength
-				}
-				sub.events <- ev
-			}
+			sub.deliver(ev)
 		}
 		r.MarkEmitted(gen)
 		if fin {

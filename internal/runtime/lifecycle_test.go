@@ -82,9 +82,9 @@ func TestConcurrentShutdownAndClose(t *testing.T) {
 	}
 }
 
-// Close with queued and in-flight work must close every handle's Events
-// channel (the seed driver returned from drain without terminating queued
-// submissions, leaking any goroutine ranging over them).
+// Close with queued and in-flight work must end every handle's stream (the
+// seed driver returned from drain without terminating queued submissions,
+// leaking any goroutine draining them).
 func TestCloseClosesEveryPendingHandle(t *testing.T) {
 	rt := startRuntime(t, func(cfg *Config) {
 		cfg.StageFault = stallStage(time.Hour) // nothing ever retires
@@ -92,7 +92,7 @@ func TestCloseClosesEveryPendingHandle(t *testing.T) {
 	const n = 8
 	handles := make([]*Handle, n)
 	for i := range handles {
-		h, err := rt.Submit(64, 32)
+		h, err := submit(rt, 64, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,8 +101,7 @@ func TestCloseClosesEveryPendingHandle(t *testing.T) {
 	done := make(chan FinishReason, n)
 	for _, h := range handles {
 		go func(h *Handle) {
-			for range h.Events {
-			}
+			_, _ = drain(h)
 			done <- h.FinishReason()
 		}(h)
 	}
@@ -122,13 +121,14 @@ func TestCloseClosesEveryPendingHandle(t *testing.T) {
 }
 
 // Graceful Shutdown must finish queued work, not abort it: every handle
-// streams its full output with FinishLength.
+// streams its full output with FinishLength, and the streams stay
+// drainable after Shutdown returns.
 func TestGracefulShutdownDrainsQueuedWork(t *testing.T) {
 	rt := startRuntime(t, nil)
 	const n = 8
 	handles := make([]*Handle, n)
 	for i := range handles {
-		h, err := rt.Submit(80+i*13, 6+i)
+		h, err := submit(rt, 80+i*13, 6+i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,10 +140,7 @@ func TestGracefulShutdownDrainsQueuedWork(t *testing.T) {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
 	for i, h := range handles {
-		got := 0
-		for range h.Events {
-			got++
-		}
+		got := len(collect(t, h))
 		if want := 6 + i; got != want {
 			t.Fatalf("handle %d streamed %d/%d tokens", i, got, want)
 		}
@@ -159,7 +156,7 @@ func TestShutdownDeadlineAbortsRemainder(t *testing.T) {
 	rt := startRuntime(t, func(cfg *Config) {
 		cfg.StageFault = stallStage(50 * time.Millisecond)
 	})
-	h, err := rt.Submit(64, 1000)
+	h, err := submit(rt, 64, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +165,7 @@ func TestShutdownDeadlineAbortsRemainder(t *testing.T) {
 	if err := rt.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown = %v, want deadline exceeded", err)
 	}
-	for range h.Events {
-	}
+	collect(t, h)
 	if reason := h.FinishReason(); reason != FinishShutdown {
 		t.Fatalf("finish reason = %q", reason)
 	}
@@ -180,7 +176,7 @@ func TestSubmitDuringDrainRefused(t *testing.T) {
 	rt := startRuntime(t, func(cfg *Config) {
 		cfg.StageFault = stallStage(time.Hour)
 	})
-	if _, err := rt.Submit(64, 100); err != nil {
+	if _, err := submit(rt, 64, 100); err != nil {
 		t.Fatal(err)
 	}
 	shutdownDone := make(chan struct{})
@@ -191,7 +187,7 @@ func TestSubmitDuringDrainRefused(t *testing.T) {
 		close(shutdownDone)
 	}()
 	waitFor(t, "drain to start", func() bool { return rt.Stats().Health == HealthDraining })
-	if _, err := rt.Submit(10, 5); !errors.Is(err, ErrStopped) {
+	if _, err := submit(rt, 10, 5); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Submit during drain = %v, want ErrStopped", err)
 	}
 	_ = rt.Close()
@@ -207,7 +203,7 @@ func TestCancelFreesKV(t *testing.T) {
 	if got := rt.Stats().KVFreeRate; got != 1 {
 		t.Fatalf("pre-submit KV free rate = %v", got)
 	}
-	h, err := rt.Submit(512, 10_000)
+	h, err := submit(rt, 512, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +218,12 @@ func TestCancelFreesKV(t *testing.T) {
 	if reason := h.FinishReason(); reason != FinishCancelled {
 		t.Fatalf("finish reason = %q", reason)
 	}
-	var last TokenEvent
-	n := 0
-	for ev := range h.Events {
-		last = ev
-		n++
+	events := collect(t, h)
+	if len(events) == 0 {
+		t.Fatal("no terminal event")
 	}
-	if n == 0 || !last.Finished || last.Reason != FinishCancelled || last.Text != "" {
-		t.Fatalf("terminal event = %+v after %d events", last, n)
+	if last := events[len(events)-1]; !last.Finished || last.Reason != FinishCancelled || last.Text != "" {
+		t.Fatalf("terminal event = %+v after %d events", last, len(events))
 	}
 	waitFor(t, "KV release", func() bool {
 		st := rt.Stats()
@@ -237,19 +231,19 @@ func TestCancelFreesKV(t *testing.T) {
 	})
 }
 
-// SubmitCtx with a deadline aborts the request with FinishTimeout.
+// A submission context with a deadline aborts the request with
+// FinishTimeout.
 func TestSubmitCtxDeadline(t *testing.T) {
 	rt := startRuntime(t, func(cfg *Config) {
 		cfg.StageFault = stallStage(3 * time.Millisecond)
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	h, err := rt.SubmitCtx(ctx, 256, 10_000)
+	h, err := rt.SubmitBatchedSpec(ctx, SubmitSpec{PromptLen: 256, MaxTokens: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range h.Events {
-	}
+	collect(t, h)
 	if reason := h.FinishReason(); reason != FinishTimeout {
 		t.Fatalf("finish reason = %q, want %q", reason, FinishTimeout)
 	}
@@ -258,30 +252,36 @@ func TestSubmitCtxDeadline(t *testing.T) {
 
 // The KV-headroom admission gate rejects submissions beyond the configured
 // demand with ErrQueueFull, and releases the budget when requests finish.
+// The stall is bounded: the driver may inject the first request before
+// Cancel arrives, and an in-flight cancel is applied only when its batch
+// retires. At 100ms per micro-batch the 100-token request cannot finish on
+// its own for 10s, so the checks below always see it resident.
 func TestAdmissionControlRejects(t *testing.T) {
 	rt := startRuntime(t, func(cfg *Config) {
 		cfg.AdmitKVTokens = 300
-		cfg.StageFault = stallStage(time.Hour)
+		cfg.StageFault = stallStage(100 * time.Millisecond)
 	})
-	h, err := rt.Submit(100, 100) // demand 200 of 300
+	h, err := submit(rt, 100, 100) // demand 200 of 300
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Submit(100, 100); !errors.Is(err, ErrQueueFull) {
+	if _, err := submit(rt, 100, 100); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-limit Submit = %v, want ErrQueueFull", err)
 	}
-	if _, err := rt.Submit(50, 40); err != nil { // demand 90 still fits
+	if _, err := submit(rt, 50, 40); err != nil { // demand 90 still fits
 		t.Fatalf("in-limit Submit = %v", err)
 	}
 	if got := rt.Stats().Rejected; got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
 	h.Cancel()
-	for range h.Events {
+	collect(t, h)
+	if reason := h.FinishReason(); reason != FinishCancelled {
+		t.Fatalf("finish reason = %q, want %q", reason, FinishCancelled)
 	}
 	// The cancelled request's 200-token demand is back.
 	waitFor(t, "admission budget release", func() bool {
-		_, err := rt.Submit(100, 90)
+		_, err := submit(rt, 100, 90)
 		return err == nil
 	})
 }
@@ -293,7 +293,7 @@ func TestWatchdogDetectsStall(t *testing.T) {
 		cfg.WatchdogTimeout = 20 * time.Millisecond
 		cfg.StageFault = stallStage(time.Hour)
 	})
-	if _, err := rt.Submit(64, 100); err != nil {
+	if _, err := submit(rt, 64, 100); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "degraded health", func() bool { return rt.Stats().Health == HealthDegraded })
@@ -314,12 +314,11 @@ func TestWatchdogQuietWhenHealthy(t *testing.T) {
 	rt := startRuntime(t, func(cfg *Config) {
 		cfg.WatchdogTimeout = 50 * time.Millisecond
 	})
-	h, err := rt.Submit(256, 400)
+	h, err := submit(rt, 256, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range h.Events {
-	}
+	collect(t, h)
 	if got := rt.Stats().Health; got != HealthOK {
 		t.Fatalf("health = %q, want %q", got, HealthOK)
 	}
@@ -328,14 +327,11 @@ func TestWatchdogQuietWhenHealthy(t *testing.T) {
 // Cancelling a handle whose request already finished is a harmless no-op.
 func TestCancelAfterFinish(t *testing.T) {
 	rt := startRuntime(t, nil)
-	h, err := rt.Submit(32, 4)
+	h, err := submit(rt, 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := 0
-	for range h.Events {
-		got++
-	}
+	got := len(collect(t, h))
 	h.Cancel()
 	if got != 4 {
 		t.Fatalf("tokens = %d", got)
@@ -360,7 +356,7 @@ func TestConcurrentCancelAndComplete(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			h, err := rt.Submit(40+k, 8+k%16)
+			h, err := submit(rt, 40+k, 8+k%16)
 			if err != nil {
 				t.Error(err)
 				return
@@ -368,7 +364,8 @@ func TestConcurrentCancelAndComplete(t *testing.T) {
 			if k%3 == 0 {
 				h.Cancel()
 			}
-			for range h.Events {
+			if _, err := drain(h); err != nil {
+				t.Error(err)
 			}
 			if h.FinishReason() == "" {
 				t.Errorf("request %d terminated without a reason", k)
@@ -387,7 +384,7 @@ func TestFinishReasonBeforeTerminal(t *testing.T) {
 	rt := startRuntime(t, func(cfg *Config) {
 		cfg.StageFault = stallStage(5 * time.Millisecond)
 	})
-	h, err := rt.Submit(64, 1000)
+	h, err := submit(rt, 64, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,6 +392,5 @@ func TestFinishReasonBeforeTerminal(t *testing.T) {
 		t.Fatalf("live request finish reason = %q", reason)
 	}
 	h.Cancel()
-	for range h.Events {
-	}
+	collect(t, h)
 }

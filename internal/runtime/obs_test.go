@@ -39,7 +39,7 @@ func obsRuntime(t *testing.T, rec *obs.Recorder, logBuf *bytes.Buffer) *Runtime 
 func TestRuntimeRecordsSpans(t *testing.T) {
 	rec := obs.NewRecorder(4, 0)
 	rt := obsRuntime(t, rec, nil)
-	h, err := rt.Submit(64, 8)
+	h, err := submit(rt, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRuntimeRecordsSpans(t *testing.T) {
 
 func TestSnapshotBubbleAccounting(t *testing.T) {
 	rt := testRuntime(t, true)
-	h, err := rt.Submit(64, 4)
+	h, err := submit(rt, 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +116,14 @@ func TestSnapshotBubbleAccounting(t *testing.T) {
 func TestLifecycleLogging(t *testing.T) {
 	var logBuf bytes.Buffer
 	rt := obsRuntime(t, nil, &logBuf)
-	h, err := rt.Submit(32, 4096)
+	h, err := submit(rt, 32, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the first token so the cancel provably lands after admission.
-	select {
-	case <-h.Events:
-	case <-time.After(5 * time.Second):
+	first, cancelFirst := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelFirst()
+	if h.Next(first) == nil {
 		t.Fatal("no first token")
 	}
 	h.Cancel()
@@ -143,12 +143,12 @@ func TestLifecycleLogging(t *testing.T) {
 
 func TestAbortedRequestsExcludedFromLatencyStats(t *testing.T) {
 	rt := testRuntime(t, true)
-	done, err := rt.Submit(16, 4)
+	done, err := submit(rt, 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	collect(t, done)
-	victim, err := rt.Submit(16, 4096)
+	victim, err := submit(rt, 16, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

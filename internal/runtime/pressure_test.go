@@ -22,7 +22,7 @@ func TestPressureAndKVGauges(t *testing.T) {
 	if p.KVFree != 1 {
 		t.Fatalf("idle KVFree = %v, want 1", p.KVFree)
 	}
-	h, err := rt.Submit(64, 8)
+	h, err := submit(rt, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestPressureAndKVGauges(t *testing.T) {
 
 // TestMatchPrefixReportsResidency proves the driver-answered query sees the
 // prefix blocks a finished conversation turn registered, and that a
-// follow-up submitted with SubmitBatchedPrefix reuses them (PrefixHits).
+// follow-up submitted with a shared prefix reuses them (PrefixHits).
 func TestMatchPrefixReportsResidency(t *testing.T) {
 	rt, err := Start(Config{
 		Model:             model.Qwen25_14B,
@@ -63,39 +63,32 @@ func TestMatchPrefixReportsResidency(t *testing.T) {
 	if got := rt.MatchPrefix(group, prompt); got != 0 {
 		t.Fatalf("cold MatchPrefix = %d, want 0", got)
 	}
-	h, err := rt.SubmitBatchedPrefix(context.Background(), prompt, out, group, 0)
+	h, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{
+		PromptLen: prompt, MaxTokens: out, PrefixGroup: group,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainBatched(t, h)
+	collect(t, h)
 
 	got := rt.MatchPrefix(group, prompt)
 	if got <= 0 {
 		t.Fatalf("MatchPrefix after first turn = %d, want > 0", got)
 	}
 	// Follow-up turn sharing the first turn's context: must hit the cache.
-	h2, err := rt.SubmitBatchedPrefix(context.Background(), prompt+64, out, group, prompt)
+	h2, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{
+		PromptLen: prompt + 64, MaxTokens: out, PrefixGroup: group, SharedPrefixLen: prompt,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainBatched(t, h2)
+	collect(t, h2)
 	st := rt.Stats()
 	if st.PrefixHits < 1 || st.PrefixHitTokens <= 0 {
 		t.Fatalf("prefix hits = %d (%d tokens), want reuse", st.PrefixHits, st.PrefixHitTokens)
 	}
 	if rt.Close(); rt.MatchPrefix(group, prompt) != 0 {
 		t.Fatal("MatchPrefix on a stopped runtime must report 0")
-	}
-}
-
-func drainBatched(t *testing.T, h *Handle) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for h.Next(ctx) != nil {
-	}
-	if ctx.Err() != nil {
-		t.Fatal("timed out draining handle")
 	}
 }
 

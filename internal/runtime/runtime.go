@@ -1,17 +1,16 @@
 // Package runtime implements the gLLM asynchronous serving runtime (§3.3)
 // as a real concurrent system: a driver goroutine that owns scheduling and
 // the KV cache, one worker goroutine per pipeline stage, and a decoupled
-// frontend (Submit returns immediately; tokens stream back on a channel,
-// or — via SubmitBatched — as pooled per-micro-batch event slabs drained
-// with Handle.Next, the zero-alloc steady-state path the HTTP frontend
-// uses).
+// frontend (SubmitBatchedSpec returns immediately; tokens stream back as
+// pooled per-micro-batch event slabs drained with Handle.Next, which
+// allocates nothing per token in steady state).
 //
 // The paper's three design principles map directly onto Go concurrency:
 //
 //  1. Non-blocking pipeline operations — workers receive work over
 //     channels and never spin-wait; the driver never blocks on emission.
-//  2. Decoupled frontend/backend — Submit is safe from any goroutine and
-//     communicates with the driver only through a channel.
+//  2. Decoupled frontend/backend — SubmitBatchedSpec is safe from any
+//     goroutine and communicates with the driver only through a channel.
 //  3. Preemptive (dual-phase) metadata scheduling — in async mode the
 //     driver broadcasts a metadata packet to every stage as soon as a
 //     micro-batch is scheduled; each worker prepares its inputs from the
@@ -27,12 +26,12 @@
 //
 // # Request lifecycle, shutdown, and backpressure
 //
-// Every submitted request terminates in exactly one way, and its Events
-// channel is always closed afterwards — handles never leak:
+// Every submitted request terminates in exactly one way, and its stream
+// always ends afterwards (Handle.Next returns nil) — handles never leak:
 //
 //   - FinishLength: every requested token was generated (the happy path).
 //   - FinishCancelled / FinishTimeout: the submitter's context was
-//     cancelled or its deadline expired (SubmitCtx), or Handle.Cancel was
+//     cancelled or its deadline expired, or Handle.Cancel was
 //     called. The driver aborts the request at the next micro-batch
 //     boundary and releases its KV blocks.
 //   - FinishShutdown: the runtime was drained or closed before the request
@@ -41,15 +40,15 @@
 // Shutdown has two modes. Shutdown(ctx) drains gracefully: new submissions
 // are refused with ErrStopped, but queued AND in-flight work keeps being
 // scheduled until it completes; when ctx expires the remainder is aborted
-// (FinishShutdown) with properly closed channels. Close aborts immediately,
+// (FinishShutdown) and every stream still ends. Close aborts immediately,
 // cutting emulated GPU sleeps short. Both are idempotent and safe to call
 // concurrently.
 //
 // Admission control bounds the work the runtime will buffer: when the
 // submit queue is saturated, or the projected KV demand (prompt + output
 // tokens summed over every admitted, unfinished request) exceeds
-// Config.AdmitKVFactor times the KV capacity, Submit fails fast with
-// ErrQueueFull instead of queueing unboundedly.
+// Config.AdmitKVFactor times the KV capacity, SubmitBatchedSpec fails fast
+// with ErrQueueFull instead of queueing unboundedly.
 //
 // A watchdog goroutine observes driver progress: when micro-batches are in
 // flight but none has retired for Config.WatchdogTimeout (e.g. a stalled
@@ -104,9 +103,9 @@ type Config struct {
 	// rejects submissions with ErrQueueFull.
 	QueueDepth int
 	// AdmitKVTokens, when positive, caps the projected KV demand (prompt +
-	// output tokens summed over every admitted, unfinished request); Submit
-	// beyond the cap fails with ErrQueueFull. Zero derives the cap from
-	// AdmitKVFactor.
+	// output tokens summed over every admitted, unfinished request);
+	// submissions beyond the cap fail with ErrQueueFull. Zero derives the
+	// cap from AdmitKVFactor.
 	AdmitKVTokens int64
 	// AdmitKVFactor expresses the admission cap as a multiple of the
 	// deployment's KV capacity (default 8: the queue may hold roughly
@@ -165,7 +164,7 @@ func (c *Config) applyDefaults() {
 // FinishReason classifies how a request reached its terminal state.
 type FinishReason string
 
-// Terminal reasons. Every handle's Events channel closes with exactly one.
+// Terminal reasons. Every handle's stream terminates with exactly one.
 const (
 	// FinishLength: every requested output token was generated.
 	FinishLength FinishReason = "length"
@@ -205,14 +204,6 @@ type TokenEvent struct {
 // Handle tracks one submitted request.
 type Handle struct {
 	ID int64
-	// Events delivers every generated token; it is closed after the final
-	// (Finished) event. The channel is buffered for the full output, so
-	// slow consumers never stall the driver. Aborted requests receive one
-	// final empty-Text event carrying the abort reason before the close.
-	//
-	// Events is nil for handles obtained via SubmitBatched — those deliver
-	// through Handle.Next instead.
-	Events <-chan TokenEvent
 
 	rt  *Runtime
 	sub *submission
@@ -239,7 +230,7 @@ func (h *Handle) Cancel() {
 }
 
 // FinishReason reports how the request terminated. It returns "" until the
-// request is terminal (Events closed / Done fired).
+// request is terminal (Done fired).
 func (h *Handle) FinishReason() FinishReason {
 	select {
 	case <-h.sub.done:
@@ -249,19 +240,16 @@ func (h *Handle) FinishReason() FinishReason {
 	}
 }
 
-// Next returns the next batch of token events for a handle obtained via
-// SubmitBatched. It blocks until the driver delivers events, and returns
-// nil when the stream is complete (every event, including the terminal one,
-// has been returned by earlier calls) or when ctx is done (check ctx.Err()
-// to distinguish). The returned slice is owned by the runtime and valid
-// only until the following Next call, which recycles its slab; callers
-// must not retain it. Next must not be called concurrently with itself and
-// panics on per-token (channel) handles.
+// Next returns the next batch of token events. It blocks until the driver
+// delivers events, and returns nil when the stream is complete (every
+// event, including the terminal one, has been returned by earlier calls)
+// or when ctx is done (check ctx.Err() to distinguish). Aborted requests
+// end with one empty-Text terminal event carrying the abort reason. The
+// returned slice is owned by the runtime and valid only until the
+// following Next call, which recycles its slab; callers must not retain
+// it. Next must not be called concurrently with itself.
 func (h *Handle) Next(ctx context.Context) []TokenEvent {
 	sub := h.sub
-	if !sub.batched {
-		panic("runtime: Handle.Next on a per-token (channel) handle; range over Events instead")
-	}
 	if h.cur != nil {
 		h.cur.evs = h.cur.evs[:0]
 		slabPool.Put(h.cur)
@@ -456,13 +444,16 @@ type eventSlab struct{ evs []TokenEvent }
 
 var slabPool = sync.Pool{New: func() any { return &eventSlab{evs: make([]TokenEvent, 0, 64)} }}
 
+// submission is one request's driver-side state and its delivery stream:
+// the producer (the driver, or a ProxyFeeder) appends to pending under dmu
+// — a short critical section, so it never blocks on a slow consumer — and
+// pokes notify (capacity 1, non-blocking) once per delivery.
 type submission struct {
 	req      *request.Request
-	events   chan TokenEvent // per-token transport; nil when batched
 	done     chan struct{}
 	kvDemand int64
-	// reason is written by the driver before done/events close; readers
-	// must wait on either channel first (Handle.FinishReason does).
+	// reason is written before done closes; readers must wait on done
+	// first (Handle.FinishReason does).
 	reason FinishReason
 	// abortReason is the externally requested abort reason (CAS winner
 	// sends the submission to cancelCh exactly once).
@@ -471,15 +462,53 @@ type submission struct {
 	// abort reason in place of the driver's cancelCh path.
 	onCancel func(FinishReason)
 
-	// Batched (slab) delivery, used instead of the events channel when
-	// batched is set: the driver appends to pending under dmu — a short
-	// critical section, so it never blocks on a slow consumer — and pokes
-	// notify (capacity 1, non-blocking) once per delivery.
-	batched bool
 	dmu     sync.Mutex
 	pending *eventSlab
 	dclosed bool
 	notify  chan struct{}
+}
+
+// newSubmission builds a submission with an open, empty delivery stream.
+func newSubmission(req *request.Request, kvDemand int64, onCancel func(FinishReason)) *submission {
+	return &submission{
+		req:      req,
+		done:     make(chan struct{}),
+		kvDemand: kvDemand,
+		onCancel: onCancel,
+		notify:   make(chan struct{}, 1),
+	}
+}
+
+// deliver appends events to the pending slab for the consumer's next
+// Handle.Next call and wakes it. It never blocks on the consumer (slabs
+// grow as needed) and is a no-op once the stream is closed.
+func (sub *submission) deliver(evs ...TokenEvent) {
+	if len(evs) == 0 {
+		return
+	}
+	sub.dmu.Lock()
+	if sub.dclosed {
+		sub.dmu.Unlock()
+		return
+	}
+	if sub.pending == nil {
+		sub.pending = slabPool.Get().(*eventSlab)
+	}
+	sub.pending.evs = append(sub.pending.evs, evs...)
+	sub.dmu.Unlock()
+	sub.notifyDelivery()
+}
+
+// closeStream terminates the stream with reason: exactly once, after its
+// last delivery. Closing done first lets FinishReason observe the reason
+// as soon as the consumer drains the remaining events.
+func (sub *submission) closeStream(reason FinishReason) {
+	sub.reason = reason
+	close(sub.done)
+	sub.dmu.Lock()
+	sub.dclosed = true
+	sub.dmu.Unlock()
+	sub.notifyDelivery()
 }
 
 // notifyDelivery wakes a Handle.Next waiter; never blocks (capacity-1
@@ -501,13 +530,14 @@ type microBatch struct {
 
 var mbPool = sync.Pool{New: func() any { return new(microBatch) }}
 
-// ErrStopped is returned by Submit after Shutdown or Close.
+// ErrStopped is returned by SubmitBatchedSpec after Shutdown or Close.
 var ErrStopped = errors.New("runtime: stopped")
 
-// ErrQueueFull is returned by Submit when admission control refuses the
-// request: the submit queue is saturated or the projected KV demand of
-// admitted work exceeds the configured headroom. Callers should shed load
-// or retry later (the HTTP frontend maps it to 429 + Retry-After).
+// ErrQueueFull is returned by SubmitBatchedSpec when admission control
+// refuses the request: the submit queue is saturated or the projected KV
+// demand of admitted work exceeds the configured headroom. Callers should
+// shed load or retry later (the HTTP frontend maps it to 429 +
+// Retry-After).
 var ErrQueueFull = errors.New("runtime: queue full")
 
 // Start validates the configuration, spawns the driver and stage workers,
@@ -574,74 +604,20 @@ func Start(cfg Config) (*Runtime, error) {
 // KVCapacityTokens returns the derived KV capacity of the deployment.
 func (rt *Runtime) KVCapacityTokens() int64 { return rt.kvCapacity }
 
-// Submit enqueues a request with the given prompt and output lengths and
-// returns a handle streaming its tokens. It is safe for concurrent use.
-func (rt *Runtime) Submit(promptLen, maxTokens int) (*Handle, error) {
-	return rt.submit(context.Background(), promptLen, maxTokens, 0, 0)
-}
-
-// SubmitCtx is Submit bound to a context: when ctx is cancelled or its
-// deadline expires, the request is aborted at the next micro-batch
-// boundary, its KV blocks are released, and its handle terminates with
-// FinishCancelled or FinishTimeout.
-func (rt *Runtime) SubmitCtx(ctx context.Context, promptLen, maxTokens int) (*Handle, error) {
-	return rt.submit(ctx, promptLen, maxTokens, 0, 0)
-}
-
-// SubmitWithPrefix is Submit for a request whose first sharedLen prompt
-// tokens are shared content of the given prefix group (requires
-// Config.EnablePrefixCache for reuse to occur).
-func (rt *Runtime) SubmitWithPrefix(promptLen, maxTokens int, group int64, sharedLen int) (*Handle, error) {
-	return rt.submit(context.Background(), promptLen, maxTokens, group, sharedLen)
-}
-
-// SubmitCtxWithPrefix combines SubmitCtx and SubmitWithPrefix.
-func (rt *Runtime) SubmitCtxWithPrefix(ctx context.Context, promptLen, maxTokens int, group int64, sharedLen int) (*Handle, error) {
-	return rt.submit(ctx, promptLen, maxTokens, group, sharedLen)
-}
-
-// SubmitBatched is SubmitCtx with slab-based token delivery: the driver
-// appends each retired micro-batch's tokens to a pooled event slab and the
-// consumer drains whole slabs via Handle.Next — the allocation-free
-// steady-state path the HTTP frontend streams from. The returned handle's
-// Events channel is nil; lifecycle semantics (Done, Cancel, FinishReason,
-// terminal abort events) are identical to Submit.
-func (rt *Runtime) SubmitBatched(ctx context.Context, promptLen, maxTokens int) (*Handle, error) {
-	return rt.submitMode(ctx, SubmitSpec{PromptLen: promptLen, MaxTokens: maxTokens}, true)
-}
-
-// SubmitBatchedPrefix is SubmitBatched for a request whose first sharedLen
-// prompt tokens are shared content of the given prefix group — the path the
-// HTTP frontend and the cluster router submit conversation follow-ups
-// through (group 0 behaves exactly like SubmitBatched).
-func (rt *Runtime) SubmitBatchedPrefix(ctx context.Context, promptLen, maxTokens int, group int64, sharedLen int) (*Handle, error) {
-	return rt.SubmitBatchedSpec(ctx, SubmitSpec{
-		PromptLen: promptLen, MaxTokens: maxTokens,
-		PrefixGroup: group, SharedPrefixLen: sharedLen,
-	})
-}
-
-// SubmitSpec fully describes one submission — the extensible submit
-// surface. The positional Submit* helpers build specs; new per-request
-// context (like the distributed trace ID) rides here without another
-// signature permutation.
+// SubmitSpec fully describes one submission; new per-request context
+// (like the distributed trace ID) rides here without another signature.
 type SubmitSpec struct {
 	PromptLen int
 	MaxTokens int
-	// PrefixGroup/SharedPrefixLen declare a shared conversation prefix
-	// (see SubmitWithPrefix).
+	// PrefixGroup/SharedPrefixLen declare that the first SharedPrefixLen
+	// prompt tokens are shared content of the given prefix group (reused
+	// only with Config.EnablePrefixCache; group 0 shares nothing).
 	PrefixGroup     int64
 	SharedPrefixLen int
 	// Trace is the distributed request-trace context (zero = untraced).
 	// The driver records queue/prefill/decode lifecycle spans for traced
 	// requests into Config.ReqSpans at termination.
 	Trace obs.TraceID
-}
-
-// SubmitBatchedSpec is the spec-based batched submit — what the HTTP
-// frontend and the cluster router call.
-func (rt *Runtime) SubmitBatchedSpec(ctx context.Context, spec SubmitSpec) (*Handle, error) {
-	return rt.submitMode(ctx, spec, true)
 }
 
 // MatchPrefix reports how many leading tokens of a prompt in the given
@@ -663,14 +639,12 @@ func (rt *Runtime) MatchPrefix(group int64, maxTokens int) int {
 	}
 }
 
-func (rt *Runtime) submit(ctx context.Context, promptLen, maxTokens int, group int64, sharedLen int) (*Handle, error) {
-	return rt.submitMode(ctx, SubmitSpec{
-		PromptLen: promptLen, MaxTokens: maxTokens,
-		PrefixGroup: group, SharedPrefixLen: sharedLen,
-	}, false)
-}
-
-func (rt *Runtime) submitMode(ctx context.Context, spec SubmitSpec, batched bool) (*Handle, error) {
+// SubmitBatchedSpec enqueues a request and returns a handle streaming its
+// tokens through Handle.Next. It is safe for concurrent use. When ctx is
+// cancelled or its deadline expires, the request is aborted at the next
+// micro-batch boundary, its KV blocks are released, and its handle
+// terminates with FinishCancelled or FinishTimeout.
+func (rt *Runtime) SubmitBatchedSpec(ctx context.Context, spec SubmitSpec) (*Handle, error) {
 	promptLen, maxTokens := spec.PromptLen, spec.MaxTokens
 	if promptLen <= 0 || maxTokens <= 0 {
 		return nil, fmt.Errorf("runtime: invalid lengths %d/%d", promptLen, maxTokens)
@@ -715,17 +689,7 @@ func (rt *Runtime) submitMode(ctx context.Context, spec SubmitSpec, batched bool
 	req.PrefixGroup = spec.PrefixGroup
 	req.SharedPrefixLen = spec.SharedPrefixLen
 	req.Trace = spec.Trace
-	sub := &submission{
-		req:      req,
-		done:     make(chan struct{}),
-		kvDemand: demand,
-		batched:  batched,
-	}
-	if batched {
-		sub.notify = make(chan struct{}, 1)
-	} else {
-		sub.events = make(chan TokenEvent, maxTokens)
-	}
+	sub := newSubmission(req, demand, nil)
 	select {
 	case rt.submitCh <- sub:
 	default:
@@ -748,7 +712,7 @@ func (rt *Runtime) submitMode(ctx context.Context, spec SubmitSpec, batched bool
 			}
 		}()
 	}
-	return &Handle{ID: id, Events: sub.events, rt: rt, sub: sub}, nil
+	return &Handle{ID: id, rt: rt, sub: sub}, nil
 }
 
 // proxyCancel records the abort reason (first writer wins) and invokes the
@@ -887,8 +851,8 @@ func (rt *Runtime) logEvent(level slog.Level, msg string, args ...any) {
 // Shutdown drains the runtime gracefully: new submissions are refused, but
 // queued and in-flight work keeps being scheduled until it completes. When
 // ctx expires first, the remainder is aborted (handles terminate with
-// FinishShutdown and closed channels) and ctx.Err() is returned. It is
-// idempotent and safe for concurrent use.
+// FinishShutdown) and ctx.Err() is returned. It is idempotent and safe for
+// concurrent use.
 func (rt *Runtime) Shutdown(ctx context.Context) error {
 	rt.stopOnce.Do(func() { close(rt.stopCh) })
 	select {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -36,26 +37,42 @@ func testRuntime(t *testing.T, async bool) *Runtime {
 	return rt
 }
 
+// submit is SubmitBatchedSpec for a plain request of the given lengths.
+func submit(rt *Runtime, promptLen, maxTokens int) (*Handle, error) {
+	return rt.SubmitBatchedSpec(context.Background(), SubmitSpec{PromptLen: promptLen, MaxTokens: maxTokens})
+}
+
+// drain reads a handle's stream to its end through Next, copying each slab
+// (the slices are recycled by the following Next call). Safe to call from
+// any goroutine; it fails only when the stream does not end in time.
+func drain(h *Handle) ([]TokenEvent, error) {
+	var events []TokenEvent
+	deadline, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for {
+		evs := h.Next(deadline)
+		if evs == nil {
+			if deadline.Err() != nil {
+				return events, fmt.Errorf("request %d timed out after %d events", h.ID, len(events))
+			}
+			return events, nil
+		}
+		events = append(events, evs...)
+	}
+}
+
 func collect(t *testing.T, h *Handle) []TokenEvent {
 	t.Helper()
-	var events []TokenEvent
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case ev, ok := <-h.Events:
-			if !ok {
-				return events
-			}
-			events = append(events, ev)
-		case <-deadline:
-			t.Fatalf("timed out after %d events", len(events))
-		}
+	events, err := drain(h)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return events
 }
 
 func TestSubmitStreamsAllTokens(t *testing.T) {
 	rt := testRuntime(t, true)
-	h, err := rt.Submit(100, 20)
+	h, err := submit(rt, 100, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,16 +106,17 @@ func TestConcurrentSubmitters(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			h, err := rt.Submit(50+k*7, 5+k%11)
+			h, err := submit(rt, 50+k*7, 5+k%11)
 			if err != nil {
 				errs <- err
 				return
 			}
-			got := 0
-			for range h.Events {
-				got++
+			events, err := drain(h)
+			if err != nil {
+				errs <- err
+				return
 			}
-			counts <- got
+			counts <- len(events)
 		}(i)
 	}
 	wg.Wait()
@@ -127,11 +145,11 @@ func TestSyncModeServesIdenticalContent(t *testing.T) {
 	async := testRuntime(t, true)
 	syncRt := testRuntime(t, false)
 
-	ha, err := async.Submit(64, 8)
+	ha, err := submit(async, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := syncRt.Submit(64, 8)
+	hs, err := submit(syncRt, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +169,13 @@ func TestSyncModeServesIdenticalContent(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	rt := testRuntime(t, true)
-	if _, err := rt.Submit(0, 5); err == nil {
+	if _, err := submit(rt, 0, 5); err == nil {
 		t.Fatal("zero prompt accepted")
 	}
-	if _, err := rt.Submit(5, 0); err == nil {
+	if _, err := submit(rt, 5, 0); err == nil {
 		t.Fatal("zero output accepted")
 	}
-	if _, err := rt.Submit(100_000_000, 5); err == nil {
+	if _, err := submit(rt, 100_000_000, 5); err == nil {
 		t.Fatal("oversized prompt accepted")
 	}
 }
@@ -197,7 +215,7 @@ func TestShutdownStopsSubmit(t *testing.T) {
 	if err := rt.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Submit(10, 5); err != ErrStopped {
+	if _, err := submit(rt, 10, 5); err != ErrStopped {
 		t.Fatalf("Submit after shutdown = %v, want ErrStopped", err)
 	}
 	// Idempotent.
@@ -208,7 +226,7 @@ func TestShutdownStopsSubmit(t *testing.T) {
 
 func TestStatsProgress(t *testing.T) {
 	rt := testRuntime(t, true)
-	h, err := rt.Submit(128, 10)
+	h, err := submit(rt, 128, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +256,7 @@ func TestAsyncPreparesEarly(t *testing.T) {
 	rt := testRuntime(t, true)
 	var hs []*Handle
 	for i := 0; i < 16; i++ {
-		h, err := rt.Submit(256, 32)
+		h, err := submit(rt, 256, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +328,7 @@ func TestScaledClockRuns(t *testing.T) {
 		defer cancel()
 		_ = rt.Shutdown(ctx)
 	}()
-	h, err := rt.Submit(64, 4)
+	h, err := submit(rt, 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +361,9 @@ func TestConversationWithPrefixCache(t *testing.T) {
 	for turn := 0; turn < 4; turn++ {
 		prompt := ctxLen + 50
 		out := 20
-		h, err := rt.SubmitWithPrefix(prompt, out, 7, ctxLen)
+		h, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{
+			PromptLen: prompt, MaxTokens: out, PrefixGroup: 7, SharedPrefixLen: ctxLen,
+		})
 		if err != nil {
 			t.Fatalf("turn %d: %v", turn, err)
 		}
@@ -360,10 +380,12 @@ func TestConversationWithPrefixCache(t *testing.T) {
 
 func TestSubmitWithPrefixValidation(t *testing.T) {
 	rt := testRuntime(t, true)
-	if _, err := rt.SubmitWithPrefix(10, 5, 1, -1); err == nil {
+	spec := SubmitSpec{PromptLen: 10, MaxTokens: 5, PrefixGroup: 1, SharedPrefixLen: -1}
+	if _, err := rt.SubmitBatchedSpec(context.Background(), spec); err == nil {
 		t.Fatal("negative shared prefix accepted")
 	}
-	if _, err := rt.SubmitWithPrefix(10, 5, 1, 11); err == nil {
+	spec.SharedPrefixLen = 11
+	if _, err := rt.SubmitBatchedSpec(context.Background(), spec); err == nil {
 		t.Fatal("shared prefix > prompt accepted")
 	}
 }
@@ -386,7 +408,7 @@ func TestRuntimeCPPMode(t *testing.T) {
 		_ = rt.Shutdown(ctx)
 	}()
 	// A long prompt whose chunks pipeline across micro-batches.
-	h, err := rt.Submit(9000, 4)
+	h, err := submit(rt, 9000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,12 +424,13 @@ func TestSyncRuntimeServesConcurrentLoad(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			h, err := rt.Submit(40+k, 3)
+			h, err := submit(rt, 40+k, 3)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			for range h.Events {
+			if _, err := drain(h); err != nil {
+				t.Error(err)
 			}
 		}(i)
 	}
