@@ -313,12 +313,10 @@ func replicaRows(reps []*cluster.Replica) []replicaStatus {
 func (a *admin) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
-		"policy":      a.router.Policy().Name(),
-		"replicas":    replicaRows(a.router.Replicas()),
-		"retired":     replicaRows(a.router.Retired()),
-		"retries_429": a.router.Retries429(),
-		"gave_up":     a.router.GaveUp(),
-		"router":      a.router.RouterStats(),
+		"policy":   a.router.Policy().Name(),
+		"replicas": replicaRows(a.router.Replicas()),
+		"retired":  replicaRows(a.router.Retired()),
+		"router":   a.router.RouterStats(),
 	})
 }
 
@@ -597,7 +595,7 @@ func selfCheck(o clusterOptions, logger *slog.Logger) error {
 	}
 	logger.Info("selfcheck ok",
 		"streams", len(recs), "replicas", 3, "drained", "r1",
-		"retries_429", a.router.Retries429())
+		"retries_429", a.router.RouterStats().Retries)
 	fmt.Printf("selfcheck ok: %d streams, 3 replicas, drained r1 mid-flight, zero dropped tokens\n", len(recs))
 	return nil
 }

@@ -369,12 +369,6 @@ func (c *Router) Close() error {
 	return first
 }
 
-// Retries429 counts rejected submission attempts that were retried.
-func (c *Router) Retries429() int64 { return c.retries429.Load() }
-
-// GaveUp counts submissions that exhausted the retry budget.
-func (c *Router) GaveUp() int64 { return c.gaveUp.Load() }
-
 // pick snapshots the routable replicas and asks the policy to choose.
 func (c *Router) pick(req Request) (*Replica, error) {
 	c.mu.RLock()

@@ -52,10 +52,10 @@ func TestBackoffExponentialWithBoundedJitter(t *testing.T) {
 			t.Fatalf("sleep %d = %v, want in [%v, %v)", i, d, base, base+base/2)
 		}
 	}
-	if got := r.Retries429(); got != 4 {
-		t.Fatalf("Retries429 = %d, want 4", got)
+	if got := r.RouterStats().Retries; got != 4 {
+		t.Fatalf("Retries = %d, want 4", got)
 	}
-	if got := r.GaveUp(); got != 1 {
+	if got := r.RouterStats().GaveUp; got != 1 {
 		t.Fatalf("GaveUp = %d, want 1", got)
 	}
 }
@@ -105,8 +105,8 @@ func TestBackoffBudgetExhaustion(t *testing.T) {
 	if got := clk.recorded(); len(got) != 0 {
 		t.Fatalf("budget-bound submit slept anyway: %v", got)
 	}
-	if r.Retries429() != 0 || r.GaveUp() != 1 {
-		t.Fatalf("Retries429 = %d, GaveUp = %d; want 0, 1", r.Retries429(), r.GaveUp())
+	if st := r.RouterStats(); st.Retries != 0 || st.GaveUp != 1 {
+		t.Fatalf("Retries = %d, GaveUp = %d; want 0, 1", st.Retries, st.GaveUp)
 	}
 }
 
@@ -141,8 +141,8 @@ func TestRetryEventuallySucceeds(t *testing.T) {
 	if rep.Rejects() != 2 || rep.Routed() != 1 {
 		t.Fatalf("Rejects = %d, Routed = %d; want 2, 1", rep.Rejects(), rep.Routed())
 	}
-	if len(clk.recorded()) != 2 || r.GaveUp() != 0 {
-		t.Fatalf("sleeps = %v, GaveUp = %d", clk.recorded(), r.GaveUp())
+	if st := r.RouterStats(); len(clk.recorded()) != 2 || st.GaveUp != 0 {
+		t.Fatalf("sleeps = %v, GaveUp = %d", clk.recorded(), st.GaveUp)
 	}
 }
 

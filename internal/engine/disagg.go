@@ -2,15 +2,12 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"gllm/internal/gpu"
 	"gllm/internal/kvcache"
-	"gllm/internal/metrics"
 	"gllm/internal/obs"
 	"gllm/internal/request"
 	"gllm/internal/sched"
-	"gllm/internal/sim"
 	"gllm/internal/workload"
 )
 
@@ -29,44 +26,10 @@ type DisaggConfig struct {
 	PrefillGPUs int
 }
 
-// disaggRun is the live state of one disaggregated simulation.
-type disaggRun struct {
-	cfg  DisaggConfig
-	eng  *sim.Engine
-	cost gpu.CostModel
-
-	prefill *replica
-	decode  *replica
-
-	// staging holds requests whose KV transfer completed but whose decode
-	// replica allocation did not fit yet.
-	staging []*request.Request
-
-	collector       metrics.Collector
-	pendingArrivals int
-	finishedCount   int
-	totalRequests   int
-	lastFinish      time.Duration
-	transfers       int
-	transferBytes   int64
-	injections      int
-	aborted         error
-}
-
-// replica is one side (prefill or decode) of the deployment.
-type replica struct {
-	name        string
-	pool        *sched.Pool
-	sched       sched.Scheduler
-	obs         BatchObserver
-	stages      []*sim.Resource
-	stageLayers []int
-	inFlight    int
-}
-
 // RunDisaggregated simulates the trace on a disaggregated deployment.
 // Scheduling inside each replica uses Sarathi (the baseline policy these
-// systems employ); cfg.Scheduler is ignored.
+// systems employ); cfg.Scheduler is ignored. The replicas charge no driver
+// prep (a zero RuntimeModel).
 func RunDisaggregated(cfg DisaggConfig, items []workload.Item) (*Result, error) {
 	cfg.applyDefaults()
 	if cfg.Scheduler == nil {
@@ -86,45 +49,29 @@ func RunDisaggregated(cfg DisaggConfig, items []workload.Item) (*Result, error) 
 	}
 	cost := gpu.NewCostModel(cfg.Model, cfg.GPU)
 
-	r := &disaggRun{
-		cfg:             cfg,
-		eng:             sim.New(),
-		cost:            cost,
-		pendingArrivals: len(items),
-		totalRequests:   len(items),
-	}
-	mkReplica := func(name string, depth int, budget int) (*replica, error) {
+	l := newLoop(&cfg.Config)
+	replica := func(name string, depth, first, budget int) (*group, error) {
 		layers := cfg.Model.StageLayers(depth)
 		kvCap := cost.KVCapacityTokensPP(layers, cfg.MemUtil)
 		if kvCap < int64(cfg.KVBlockSize) {
 			return nil, fmt.Errorf("engine: %s on %d x %s (%s replica): %w",
 				cfg.Model.Name, depth, cfg.GPU.Name, name, ErrModelDoesNotFit)
 		}
-		rep := &replica{
-			name:        name,
-			pool:        sched.NewPool(kvcache.New(kvCap, cfg.KVBlockSize), depth),
-			sched:       sched.NewSarathi(budget),
-			stageLayers: layers,
-		}
-		if cfg.Observer != nil {
-			rep.obs = cfg.Observer(rep.pool, rep.sched)
-		}
-		rep.stages = make([]*sim.Resource, depth)
-		for i := range rep.stages {
-			rep.stages[i] = sim.NewResource(r.eng, fmt.Sprintf("%s-stage%d", name, i))
-		}
-		return rep, nil
+		g := l.addGroup(kvCap, depth, sched.NewSarathi(budget), RuntimeModel{})
+		g.execute = newPipelineExec(l, cost, layers, name+"-stage", first).execute
+		return g, nil
 	}
-	var err error
-	if r.prefill, err = mkReplica("prefill", depthP, 2048); err != nil {
+	prefill, err := replica("prefill", depthP, 0, 2048)
+	if err != nil {
 		return nil, err
 	}
-	if r.decode, err = mkReplica("decode", depthD, 4096); err != nil {
+	decode, err := replica("decode", depthD, depthP, 4096)
+	if err != nil {
 		return nil, err
 	}
 	for _, it := range items {
-		if int64(it.PromptLen+1) > r.prefill.pool.KV.CapacityTokens() ||
-			int64(it.PromptLen+it.OutputLen) > r.decode.pool.KV.CapacityTokens() {
+		if int64(it.PromptLen+1) > prefill.pool.KV.CapacityTokens() ||
+			int64(it.PromptLen+it.OutputLen) > decode.pool.KV.CapacityTokens() {
 			return nil, fmt.Errorf("engine: request larger than a replica's KV capacity")
 		}
 	}
@@ -132,194 +79,79 @@ func RunDisaggregated(cfg DisaggConfig, items []workload.Item) (*Result, error) 
 		return nil, err
 	}
 
-	id := int64(0)
-	for _, it := range items {
-		item := it
-		reqID := id
-		id++
-		r.eng.At(item.Arrival, func() {
-			r.pendingArrivals--
-			r.prefill.pool.Add(newRequest(reqID, item))
-			r.tryInject(r.prefill)
-		})
+	h := &handOff{l: l, cfg: &cfg, prefill: prefill, decode: decode}
+	prefill.retired = h.migrate
+	l.beforeRefill = h.drainStaging
+	res, err := l.run(items)
+	if err != nil {
+		return nil, err
 	}
-	r.eng.Run()
-	if r.aborted != nil {
-		return nil, r.aborted
-	}
-	if r.finishedCount != r.totalRequests {
-		return nil, fmt.Errorf("engine: only %d/%d requests finished (disaggregation stall?)",
-			r.finishedCount, r.totalRequests)
-	}
-	for _, rep := range []*replica{r.prefill, r.decode} {
-		if rep.obs != nil {
-			if err := rep.obs.Final(r.eng.Now()); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	makespan := r.lastFinish
-	res := &Result{
-		SchedulerName:   fmt.Sprintf("disagg-%dp%dd", depthP, depthD),
-		RuntimeName:     cfg.Runtime.Name,
-		Requests:        r.totalRequests,
-		Report:          r.collector.Report(makespan),
-		Collector:       &r.collector,
-		Preemptions:     r.prefill.pool.Preemptions() + r.decode.pool.Preemptions(),
-		Injections:      r.injections,
-		Makespan:        makespan,
-		KVTransfers:     r.transfers,
-		KVTransferBytes: r.transferBytes,
-	}
-	for _, st := range append(append([]*sim.Resource{}, r.prefill.stages...), r.decode.stages...) {
-		res.StageBusy = append(res.StageBusy, st.BusyTime())
-	}
-	if makespan > 0 {
-		var busy time.Duration
-		for _, b := range res.StageBusy {
-			busy += b
-		}
-		res.BubbleFraction = 1 - float64(busy)/float64(makespan*time.Duration(total))
-	}
+	res.SchedulerName = fmt.Sprintf("disagg-%dp%dd", depthP, depthD)
+	res.KVTransfers = h.transfers
+	res.KVTransferBytes = h.transferBytes
 	return res, nil
 }
 
-// tryInject fills the replica's free micro-batch slots.
-func (r *disaggRun) tryInject(rep *replica) {
-	if r.aborted != nil {
-		return
-	}
-	if r.eng.Now() > r.cfg.MaxVirtualTime {
-		r.aborted = fmt.Errorf("engine: exceeded MaxVirtualTime %v (disaggregation stall or overload)", r.cfg.MaxVirtualTime)
-		return
-	}
-	for rep.inFlight < len(rep.stages) {
-		if rep.obs != nil {
-			rep.obs.BeforeSchedule(r.eng.Now())
-		}
-		b := rep.sched.Schedule(rep.pool, r.eng.Now())
-		if rep.obs != nil {
-			rep.obs.AfterSchedule(b, r.eng.Now())
-			if err := rep.obs.Err(); err != nil {
-				r.aborted = err
-				return
-			}
-		}
-		if b.Empty() {
-			return
-		}
-		rep.inFlight++
-		r.injections++
-		shape := b.Shape()
-		r.startStage(rep, 0, b, shape, r.injections)
-	}
+// handOff moves requests that finished prefill to the decode replica: the
+// KV cache crosses the boundary hop, then waits in staging until the
+// decode replica can allocate it.
+type handOff struct {
+	l               *loop
+	cfg             *DisaggConfig
+	prefill, decode *group
+
+	// staging holds requests whose KV transfer completed but whose decode
+	// replica allocation did not fit yet.
+	staging       []*request.Request
+	transfers     int
+	transferBytes int64
 }
 
-func (r *disaggRun) startStage(rep *replica, i int, b *sched.Batch, shape gpu.BatchShape, seq int) {
-	dur := r.cost.StageTime(shape, rep.stageLayers[i])
-	rep.stages[i].Submit(dur, func() {
-		now := r.eng.Now()
-		// Span stages use global indices: prefill stages first, then decode
-		// (replicaHop yields exactly that mapping).
-		r.cfg.Spans.Record(replicaHop(rep, r, i), obs.KindExec, seq, shape.Tokens(), now-dur, now)
-		if i+1 < len(rep.stages) {
-			actBytes := int64(shape.Tokens()) * r.cfg.Model.ActivationBytesPerToken()
-			// Intra-replica hop: adjacent GPUs.
-			hop := replicaHop(rep, r, i)
-			xfer := r.cfg.Topo.Hop(hop).TransferTime(actBytes)
-			r.cfg.Spans.Record(hop, obs.KindXfer, seq, shape.Tokens(), now, now+xfer)
-			r.eng.After(xfer, func() { r.startStage(rep, i+1, b, shape, seq) })
-			return
+// migrate releases a retired prefill batch's finished prompts and starts
+// their KV transfers; each landing frees the prefill copy and refills.
+func (h *handOff) migrate(b *sched.Batch) {
+	l, cfg, prefill := h.l, h.cfg, h.prefill
+	for _, c := range b.Chunks {
+		req := c.Req
+		if req.State() != request.StateDecoding || req.DecodeBusy() {
+			continue
 		}
-		r.completeBatch(rep, b)
-	})
-}
-
-// replicaHop maps a stage boundary inside a replica to a topology hop
-// index (decode replica stages sit after the prefill GPUs).
-func replicaHop(rep *replica, r *disaggRun, i int) int {
-	if rep == r.decode {
-		return r.cfg.PrefillGPUs + i
-	}
-	return i
-}
-
-func (r *disaggRun) completeBatch(rep *replica, b *sched.Batch) {
-	if r.aborted != nil {
-		return
-	}
-	finished := rep.pool.Complete(b, r.eng.Now())
-	for _, f := range finished {
-		r.collector.Observe(f)
-		r.finishedCount++
-		r.lastFinish = r.eng.Now()
-	}
-	rep.inFlight--
-	if rep == r.prefill {
-		// Requests that completed prefill migrate: release, transfer KV,
-		// adopt on the decode side.
-		for _, c := range b.Chunks {
-			req := c.Req
-			if req.State() != request.StateDecoding || req.DecodeBusy() {
-				continue
-			}
-			rep.pool.ReleaseDecoding(req)
-			if rep.obs != nil {
-				// The released sequence's blocks stay resident on the
-				// prefill side until the transfer lands.
-				markExternal(rep.obs, kvcache.SeqID(req.ID))
-			}
-			kvBytes := int64(req.ContextLen()) * r.cfg.Model.KVBytesPerToken()
-			// The hand-off crosses the boundary hop between the replicas.
-			xfer := r.cfg.Topo.Hop(r.cfg.PrefillGPUs - 1).TransferTime(kvBytes)
-			r.cfg.Spans.Record(r.cfg.PrefillGPUs-1, obs.KindXfer, int(req.ID), req.ContextLen(),
-				r.eng.Now(), r.eng.Now()+xfer)
-			r.transfers++
-			r.transferBytes += kvBytes
-			r.eng.After(xfer, func() {
-				r.prefill.pool.KV.Free(kvcache.SeqID(req.ID))
-				if r.prefill.obs != nil {
-					unmarkExternal(r.prefill.obs, kvcache.SeqID(req.ID))
-				}
-				r.staging = append(r.staging, req)
-				r.drainStaging()
-				r.tryInject(r.prefill)
-				r.tryInject(r.decode)
-			})
-		}
-	}
-	if rep.obs != nil {
-		rep.obs.AfterComplete(b, finished, r.eng.Now())
-		if err := rep.obs.Err(); err != nil {
-			r.aborted = err
-			return
-		}
-	}
-	r.drainStaging()
-	r.tryInject(rep)
-	if rep == r.decode {
-		r.tryInject(r.prefill)
-	} else {
-		r.tryInject(r.decode)
+		prefill.pool.ReleaseDecoding(req)
+		// The released sequence's blocks stay resident on the prefill side
+		// until the transfer lands.
+		markExternal(prefill.obs, kvcache.SeqID(req.ID))
+		kvBytes := int64(req.ContextLen()) * cfg.Model.KVBytesPerToken()
+		// The hand-off crosses the boundary hop between the replicas.
+		xfer := cfg.Topo.Hop(cfg.PrefillGPUs - 1).TransferTime(kvBytes)
+		cfg.Spans.Record(cfg.PrefillGPUs-1, obs.KindXfer, int(req.ID), req.ContextLen(),
+			l.eng.Now(), l.eng.Now()+xfer)
+		h.transfers++
+		h.transferBytes += kvBytes
+		l.eng.After(xfer, func() {
+			prefill.pool.KV.Free(kvcache.SeqID(req.ID))
+			unmarkExternal(prefill.obs, kvcache.SeqID(req.ID))
+			h.staging = append(h.staging, req)
+			l.refill(prefill)
+		})
 	}
 }
 
 // drainStaging admits transferred requests whose context fits the decode
 // replica's KV (pull-based admission, like DistServe).
-func (r *disaggRun) drainStaging() {
-	kept := r.staging[:0]
-	for _, req := range r.staging {
+func (h *handOff) drainStaging() {
+	decode := h.decode.pool
+	kept := h.staging[:0]
+	for _, req := range h.staging {
 		id := kvcache.SeqID(req.ID)
 		need := req.ContextLen()
-		if r.decode.pool.KV.CanAllocate(id, need) {
-			if err := r.decode.pool.KV.Allocate(id, need); err != nil {
+		if decode.KV.CanAllocate(id, need) {
+			if err := decode.KV.Allocate(id, need); err != nil {
 				panic(fmt.Sprintf("engine: disagg adopt alloc: %v", err))
 			}
-			r.decode.pool.AdoptDecoding(req)
+			decode.AdoptDecoding(req)
 		} else {
 			kept = append(kept, req)
 		}
 	}
-	r.staging = kept
+	h.staging = kept
 }

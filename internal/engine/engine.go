@@ -7,8 +7,9 @@
 // (root ranks hold the weights, every rank owns a KV partition and runs
 // attention over it, queries scatter and attention outputs gather each
 // layer). All engines share the scheduler framework, the paged KV cache,
-// the GPU roofline cost model and the network link model, and differ only
-// in how a scheduled micro-batch maps onto hardware time.
+// the GPU roofline cost model, the network link model and one serving loop
+// (loop.go), and differ only in their KV capacity, their slot count and how
+// a scheduled micro-batch maps onto hardware time.
 package engine
 
 import (
@@ -233,7 +234,8 @@ type Result struct {
 	// numerators of BubbleFraction; one entry per pipeline stage, prefill
 	// stages first for the disaggregated engine).
 	StageBusy []time.Duration
-	// KVCapacityTokens is the derived cluster KV capacity.
+	// KVCapacityTokens is the derived cluster KV capacity (the sum of both
+	// replicas for the disaggregated engine).
 	KVCapacityTokens int64
 	// KVTransfers / KVTransferBytes count prefill→decode KV-cache
 	// migrations (disaggregated engine only; zero elsewhere).

@@ -211,24 +211,50 @@ func TestPipelineErrorPaths(t *testing.T) {
 	}
 }
 
+// TestIterationRecordsMatchInjections holds every engine to one result
+// contract: one IterRecord per injected batch, a derived KV capacity, and a
+// bubble fraction in [0,1).
 func TestIterationRecordsMatchInjections(t *testing.T) {
 	items := shortTrace(5, 2, 10*time.Second)
-	res, err := RunPipeline(testConfig(sched.NewDefaultThrottle(), GLLMRuntime), items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Iterations) != res.Injections {
-		t.Fatalf("iterations %d != injections %d", len(res.Iterations), res.Injections)
-	}
-	for _, it := range res.Iterations {
-		if it.Prefill < 0 || it.Decode < 0 || it.Prefill+it.Decode == 0 {
-			t.Fatalf("bad iteration record %+v", it)
-		}
-	}
-	if len(res.PrefillPerIteration()) != len(res.Iterations) ||
-		len(res.DecodePerIteration()) != len(res.Iterations) ||
-		len(res.TokensPerIteration()) != len(res.Iterations) {
-		t.Fatal("series lengths inconsistent")
+	cfg := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
+	for _, tc := range []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"pipeline", func() (*Result, error) { return RunPipeline(cfg, items) }},
+		{"tensor", func() (*Result, error) { return RunTensor(cfg, items) }},
+		{"tknp", func() (*Result, error) {
+			return RunTokenParallel(TokenParallelConfig{Config: cfg, RootTP: 2}, items)
+		}},
+		{"disagg", func() (*Result, error) {
+			return RunDisaggregated(DisaggConfig{Config: cfg, PrefillGPUs: 2}, items)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Injections == 0 || len(res.Iterations) != res.Injections {
+				t.Fatalf("iterations %d != injections %d", len(res.Iterations), res.Injections)
+			}
+			if res.KVCapacityTokens <= 0 {
+				t.Fatalf("KV capacity %d", res.KVCapacityTokens)
+			}
+			if res.BubbleFraction < 0 || res.BubbleFraction >= 1 {
+				t.Fatalf("bubble fraction %v out of [0,1)", res.BubbleFraction)
+			}
+			for _, it := range res.Iterations {
+				if it.Prefill < 0 || it.Decode < 0 || it.Prefill+it.Decode == 0 {
+					t.Fatalf("bad iteration record %+v", it)
+				}
+			}
+			if len(res.PrefillPerIteration()) != len(res.Iterations) ||
+				len(res.DecodePerIteration()) != len(res.Iterations) ||
+				len(res.TokensPerIteration()) != len(res.Iterations) {
+				t.Fatal("series lengths inconsistent")
+			}
+		})
 	}
 }
 

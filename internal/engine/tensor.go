@@ -5,42 +5,16 @@ import (
 	"time"
 
 	"gllm/internal/gpu"
-	"gllm/internal/kvcache"
-	"gllm/internal/metrics"
 	"gllm/internal/network"
 	"gllm/internal/obs"
-	"gllm/internal/sched"
-	"gllm/internal/sim"
 	"gllm/internal/workload"
 )
 
-// tensorRun is the live state of one tensor-parallel simulation (the
-// SGLang-like baseline): one iteration at a time over the whole model, each
-// layer paying two all-reduces on the TP link.
-type tensorRun struct {
-	cfg       Config
-	eng       *sim.Engine
-	cost      gpu.CostModel
-	pool      *sched.Pool
-	obs       BatchObserver
-	device    *sim.Resource
-	driverCPU *sim.Resource
-
-	running    bool
-	injections int
-	collector  metrics.Collector
-	iterations []IterRecord
-
-	pendingArrivals int
-	finishedCount   int
-	totalRequests   int
-	lastFinish      time.Duration
-	aborted         error
-}
-
 // RunTensor simulates serving the trace on a tensor-parallel deployment
-// spanning all GPUs in cfg.Topo. The scheduler sees a pipeline depth of 1:
-// there is exactly one in-flight batch.
+// spanning all GPUs in cfg.Topo (the SGLang-like baseline): one iteration
+// at a time over the whole model, each layer paying two all-reduces on the
+// TP link. The scheduler sees a pipeline depth of 1: there is exactly one
+// in-flight batch.
 func RunTensor(cfg Config, items []workload.Item) (*Result, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
@@ -57,144 +31,27 @@ func RunTensor(cfg Config, items []workload.Item) (*Result, error) {
 		return nil, err
 	}
 
-	r := &tensorRun{
-		cfg:             cfg,
-		eng:             sim.New(),
-		cost:            cost,
-		pool:            sched.NewPool(kvcache.New(kvCap, cfg.KVBlockSize), 1),
-		pendingArrivals: len(items),
-		totalRequests:   len(items),
-	}
-	r.device = sim.NewResource(r.eng, "tp-device")
-	r.driverCPU = sim.NewResource(r.eng, "driver-cpu")
-
-	r.pool.EnablePrefixCache = cfg.EnablePrefixCache
-	r.pool.AllowPipelinedChunks = cfg.EnableCPP
-	if cfg.Observer != nil {
-		r.obs = cfg.Observer(r.pool, cfg.Scheduler)
-	}
-	for i, it := range items {
-		id := int64(i)
-		item := it
-		r.eng.At(item.Arrival, func() {
-			r.pendingArrivals--
-			r.pool.Add(newRequest(id, item))
-			r.tryInject()
+	l := newLoop(&cfg)
+	g := l.addServingGroup(kvCap, 1)
+	device := l.newStage("tp-device")
+	g.execute = func(fb *inFlightBatch) {
+		iter := tensorIterationTime(cost, cfg.Topo, fb.shape)
+		device.Submit(iter, func() {
+			now := l.eng.Now()
+			cfg.Spans.Record(0, obs.KindExec, fb.seq, fb.shape.Tokens(), now-iter, now)
+			l.retire(fb)
 		})
 	}
-
-	r.eng.Run()
-	if r.aborted != nil {
-		return nil, r.aborted
-	}
-	if r.finishedCount != r.totalRequests {
-		return nil, fmt.Errorf("engine: only %d/%d requests finished (scheduling deadlock?)",
-			r.finishedCount, r.totalRequests)
-	}
-	if r.obs != nil {
-		if err := r.obs.Final(r.eng.Now()); err != nil {
-			return nil, err
-		}
-	}
-
-	makespan := r.lastFinish
-	res := &Result{
-		SchedulerName:    cfg.Scheduler.Name(),
-		RuntimeName:      cfg.Runtime.Name,
-		Requests:         r.totalRequests,
-		Report:           r.collector.Report(makespan),
-		Collector:        &r.collector,
-		Iterations:       r.iterations,
-		Preemptions:      r.pool.Preemptions(),
-		Injections:       r.injections,
-		Makespan:         makespan,
-		KVCapacityTokens: kvCap,
-		StageBusy:        []time.Duration{r.device.BusyTime()},
-	}
-	if makespan > 0 {
-		res.BubbleFraction = 1 - float64(r.device.BusyTime())/float64(makespan)
-	}
-	return res, nil
+	return l.run(items)
 }
 
-// IterationTime prices one TP iteration: per-layer sharded compute plus two
-// ring all-reduces of the activation tensor per layer over the TP link.
+// tensorIterationTime prices one TP iteration: per-layer sharded compute
+// plus two ring all-reduces of the activation tensor per layer over the TP
+// link.
 func tensorIterationTime(cost gpu.CostModel, topo network.Topology, shape gpu.BatchShape) time.Duration {
 	tp := topo.GPUs()
 	layer := cost.TensorParallelLayerTime(shape, tp)
 	actBytes := int64(shape.Tokens()) * cost.Model.ActivationBytesPerToken()
 	comm := topo.TPLink.AllReduceTime(actBytes, tp)
 	return time.Duration(cost.Model.NumLayers) * (layer + 2*comm)
-}
-
-func (r *tensorRun) tryInject() {
-	if r.aborted != nil || r.running {
-		return
-	}
-	if r.eng.Now() > r.cfg.MaxVirtualTime {
-		r.aborted = fmt.Errorf("engine: exceeded MaxVirtualTime %v (deadlock or overload)", r.cfg.MaxVirtualTime)
-		return
-	}
-	if r.obs != nil {
-		r.obs.BeforeSchedule(r.eng.Now())
-	}
-	b := r.cfg.Scheduler.Schedule(r.pool, r.eng.Now())
-	if r.obs != nil {
-		r.obs.AfterSchedule(b, r.eng.Now())
-		if err := r.obs.Err(); err != nil {
-			r.aborted = err
-			return
-		}
-	}
-	if b.Empty() {
-		return
-	}
-	r.running = true
-	r.injections++
-	shape := b.Shape()
-	r.iterations = append(r.iterations, IterRecord{
-		Time:    r.eng.Now(),
-		Prefill: b.PrefillTokens(),
-		Decode:  b.DecodeTokens(),
-	})
-	iter := tensorIterationTime(r.cost, r.cfg.Topo, shape)
-	seq := r.injections
-	run := func() {
-		r.device.Submit(iter, func() {
-			if r.aborted != nil {
-				return
-			}
-			now := r.eng.Now()
-			r.cfg.Spans.Record(0, obs.KindExec, seq, shape.Tokens(), now-iter, now)
-			finished := r.pool.Complete(b, r.eng.Now())
-			for _, f := range finished {
-				r.collector.Observe(f)
-				r.finishedCount++
-				r.lastFinish = r.eng.Now()
-			}
-			r.running = false
-			if r.obs != nil {
-				r.obs.AfterComplete(b, finished, r.eng.Now())
-				if err := r.obs.Err(); err != nil {
-					r.aborted = err
-					return
-				}
-			}
-			r.tryInject()
-		})
-	}
-	prep := r.cfg.Runtime.PrepTime(len(b.Chunks)+len(b.Decodes), b.Tokens())
-	if r.cfg.Runtime.Coupled {
-		r.driverCPU.Submit(prep, func() {
-			now := r.eng.Now()
-			r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, seq, shape.Tokens(), now-prep, now)
-			run()
-		})
-	} else if prep > 0 {
-		now := r.eng.Now()
-		r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, seq, shape.Tokens(), now, now+prep)
-		r.eng.After(prep, run)
-	} else {
-		run()
-	}
 }

@@ -5,12 +5,8 @@ import (
 	"time"
 
 	"gllm/internal/gpu"
-	"gllm/internal/kvcache"
-	"gllm/internal/metrics"
 	"gllm/internal/network"
 	"gllm/internal/obs"
-	"gllm/internal/sched"
-	"gllm/internal/sim"
 	"gllm/internal/workload"
 )
 
@@ -26,35 +22,6 @@ type TokenParallelConfig struct {
 	// RootTP is the tensor-parallel degree of the weight-holding root
 	// group (default 1: a single root rank).
 	RootTP int
-}
-
-// tokenParRun is the live state of one token-parallel simulation. Like the
-// tensor engine it runs one whole-model iteration at a time (pipeline
-// depth 1); the per-iteration price decomposes into root compute, scatter,
-// partitioned attention, and gather.
-type tokenParRun struct {
-	cfg       TokenParallelConfig
-	eng       *sim.Engine
-	cost      gpu.CostModel
-	pool      *sched.Pool
-	obs       BatchObserver
-	group     *sim.Resource
-	driverCPU *sim.Resource
-
-	running    bool
-	injections int
-	collector  metrics.Collector
-	iterations []IterRecord
-	commBytes  int64
-
-	rootBusy time.Duration // per-root-rank exec time (projections + MLP)
-	peerBusy time.Duration // per-rank attention exec time
-
-	pendingArrivals int
-	finishedCount   int
-	totalRequests   int
-	lastFinish      time.Duration
-	aborted         error
 }
 
 // tknpIterCost is the per-iteration price breakdown of one scheduled batch.
@@ -105,8 +72,10 @@ func tokenParallelIterationTime(cost gpu.CostModel, topo network.Topology, rootT
 }
 
 // RunTokenParallel simulates serving the trace on a token-parallel (TKNP)
-// deployment spanning all GPUs in cfg.Topo. The scheduler sees a pipeline
-// depth of 1: one in-flight batch over the whole model per iteration.
+// deployment spanning all GPUs in cfg.Topo. Like the tensor engine it runs
+// one whole-model iteration at a time (the scheduler sees a pipeline depth
+// of 1); the per-iteration price decomposes into root compute, scatter,
+// partitioned attention, and gather.
 func RunTokenParallel(cfg TokenParallelConfig, items []workload.Item) (*Result, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
@@ -129,168 +98,58 @@ func RunTokenParallel(cfg TokenParallelConfig, items []workload.Item) (*Result, 
 		return nil, err
 	}
 
-	r := &tokenParRun{
-		cfg:             cfg,
-		eng:             sim.New(),
-		cost:            cost,
-		pool:            sched.NewPool(kvcache.New(kvCap, cfg.KVBlockSize), 1),
-		pendingArrivals: len(items),
-		totalRequests:   len(items),
-	}
-	r.group = sim.NewResource(r.eng, "tknp-group")
-	r.driverCPU = sim.NewResource(r.eng, "driver-cpu")
-
-	r.pool.EnablePrefixCache = cfg.EnablePrefixCache
-	r.pool.AllowPipelinedChunks = cfg.EnableCPP
-	if cfg.Observer != nil {
-		r.obs = cfg.Observer(r.pool, cfg.Scheduler)
-	}
-	for i, it := range items {
-		id := int64(i)
-		item := it
-		r.eng.At(item.Arrival, func() {
-			r.pendingArrivals--
-			r.pool.Add(newRequest(id, item))
-			r.tryInject()
+	l := newLoop(&cfg.Config)
+	g := l.addServingGroup(kvCap, 1)
+	group := l.newStage("tknp-group")
+	var (
+		commBytes int64
+		rootBusy  time.Duration // per-root-rank exec time (projections + MLP)
+		peerBusy  time.Duration // per-rank attention exec time
+	)
+	g.execute = func(fb *inFlightBatch) {
+		iter := tokenParallelIterationTime(cost, cfg.Topo, cfg.RootTP, fb.shape)
+		group.Submit(iter.total, func() {
+			recordTknpSpans(&cfg, fb.seq, fb.shape.Tokens(), l.eng.Now(), iter)
+			rootBusy += iter.root
+			peerBusy += iter.peer
+			commBytes += iter.bytes
+			l.retire(fb)
 		})
 	}
-
-	r.eng.Run()
-	if r.aborted != nil {
-		return nil, r.aborted
-	}
-	if r.finishedCount != r.totalRequests {
-		return nil, fmt.Errorf("engine: only %d/%d requests finished (scheduling deadlock?)",
-			r.finishedCount, r.totalRequests)
-	}
-	if r.obs != nil {
-		if err := r.obs.Final(r.eng.Now()); err != nil {
-			return nil, err
+	l.stageBusy = func() []time.Duration {
+		busy := make([]time.Duration, n)
+		for s := range busy {
+			busy[s] = peerBusy
+			if s < cfg.RootTP {
+				busy[s] += rootBusy
+			}
 		}
+		return busy
 	}
-
-	makespan := r.lastFinish
-	stageBusy := make([]time.Duration, n)
-	var busySum time.Duration
-	for s := range stageBusy {
-		busy := r.peerBusy
-		if s < cfg.RootTP {
-			busy += r.rootBusy
-		}
-		stageBusy[s] = busy
-		busySum += busy
+	res, err := l.run(items)
+	if err != nil {
+		return nil, err
 	}
-	res := &Result{
-		SchedulerName:    cfg.Scheduler.Name(),
-		RuntimeName:      cfg.Runtime.Name,
-		Requests:         r.totalRequests,
-		Report:           r.collector.Report(makespan),
-		Collector:        &r.collector,
-		Iterations:       r.iterations,
-		Preemptions:      r.pool.Preemptions(),
-		Injections:       r.injections,
-		Makespan:         makespan,
-		KVCapacityTokens: kvCap,
-		StageBusy:        stageBusy,
-		TknpCommBytes:    r.commBytes,
-	}
-	if makespan > 0 {
-		res.BubbleFraction = 1 - float64(busySum)/(float64(makespan)*float64(n))
-	}
+	res.TknpCommBytes = commBytes
 	return res, nil
 }
 
-func (r *tokenParRun) tryInject() {
-	if r.aborted != nil || r.running {
-		return
-	}
-	if r.eng.Now() > r.cfg.MaxVirtualTime {
-		r.aborted = fmt.Errorf("engine: exceeded MaxVirtualTime %v (deadlock or overload)", r.cfg.MaxVirtualTime)
-		return
-	}
-	if r.obs != nil {
-		r.obs.BeforeSchedule(r.eng.Now())
-	}
-	b := r.cfg.Scheduler.Schedule(r.pool, r.eng.Now())
-	if r.obs != nil {
-		r.obs.AfterSchedule(b, r.eng.Now())
-		if err := r.obs.Err(); err != nil {
-			r.aborted = err
-			return
-		}
-	}
-	if b.Empty() {
-		return
-	}
-	r.running = true
-	r.injections++
-	shape := b.Shape()
-	r.iterations = append(r.iterations, IterRecord{
-		Time:    r.eng.Now(),
-		Prefill: b.PrefillTokens(),
-		Decode:  b.DecodeTokens(),
-	})
-	iter := tokenParallelIterationTime(r.cost, r.cfg.Topo, r.cfg.RootTP, shape)
-	seq := r.injections
-	run := func() {
-		r.group.Submit(iter.total, func() {
-			if r.aborted != nil {
-				return
-			}
-			now := r.eng.Now()
-			r.recordSpans(seq, shape.Tokens(), now, iter)
-			r.rootBusy += iter.root
-			r.peerBusy += iter.peer
-			r.commBytes += iter.bytes
-			finished := r.pool.Complete(b, r.eng.Now())
-			for _, f := range finished {
-				r.collector.Observe(f)
-				r.finishedCount++
-				r.lastFinish = r.eng.Now()
-			}
-			r.running = false
-			if r.obs != nil {
-				r.obs.AfterComplete(b, finished, r.eng.Now())
-				if err := r.obs.Err(); err != nil {
-					r.aborted = err
-					return
-				}
-			}
-			r.tryInject()
-		})
-	}
-	prep := r.cfg.Runtime.PrepTime(len(b.Chunks)+len(b.Decodes), b.Tokens())
-	if r.cfg.Runtime.Coupled {
-		r.driverCPU.Submit(prep, func() {
-			now := r.eng.Now()
-			r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, seq, shape.Tokens(), now-prep, now)
-			run()
-		})
-	} else if prep > 0 {
-		now := r.eng.Now()
-		r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, seq, shape.Tokens(), now, now+prep)
-		r.eng.After(prep, run)
-	} else {
-		run()
-	}
-}
-
-// recordSpans emits the iteration's spans: root exec on the weight-holding
+// recordTknpSpans emits the iteration's spans: root exec on the weight-holding
 // ranks, one transfer span for the scatter/gather traffic, and a
 // partitioned-attention exec span on every rank. The segments tile the
 // iteration window exactly (total == root + comm + peer).
-func (r *tokenParRun) recordSpans(seq, tokens int, end time.Duration, iter tknpIterCost) {
-	if r.cfg.Spans == nil {
+func recordTknpSpans(cfg *TokenParallelConfig, seq, tokens int, end time.Duration, iter tknpIterCost) {
+	if cfg.Spans == nil {
 		return
 	}
 	start := end - iter.total
 	rootEnd := start + iter.root
 	commEnd := rootEnd + iter.comm
-	for s := 0; s < r.cfg.RootTP; s++ {
-		r.cfg.Spans.Record(s, obs.KindExec, seq, tokens, start, rootEnd)
+	for s := 0; s < cfg.RootTP; s++ {
+		cfg.Spans.Record(s, obs.KindExec, seq, tokens, start, rootEnd)
 	}
-	r.cfg.Spans.Record(0, obs.KindXfer, seq, tokens, rootEnd, commEnd)
-	for s := 0; s < r.cfg.Topo.GPUs(); s++ {
-		r.cfg.Spans.Record(s, obs.KindExec, seq, tokens, commEnd, end)
+	cfg.Spans.Record(0, obs.KindXfer, seq, tokens, rootEnd, commEnd)
+	for s := 0; s < cfg.Topo.GPUs(); s++ {
+		cfg.Spans.Record(s, obs.KindExec, seq, tokens, commEnd, end)
 	}
 }

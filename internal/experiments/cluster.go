@@ -325,7 +325,7 @@ func runClusterPolicy(spec ClusterSpec, name string, trace []workload.Item) (*Cl
 		TokensPerSecond: float64(delivered) / wall.Seconds(),
 		KVHitTokens:     st.PrefixHitTokens,
 		PrefixHits:      st.PrefixHits,
-		Retries429:      router.Retries429(),
+		Retries429:      router.RouterStats().Retries,
 		WallSeconds:     wall.Seconds(),
 		AuditOK:         auditErr == nil,
 	}

@@ -81,21 +81,3 @@ func CumulativeCounts(observations []float64, bounds []float64) []uint64 {
 	}
 	return counts
 }
-
-// WriteHistogram emits a full histogram family — HELP/TYPE, cumulative
-// _bucket series for each bound plus +Inf, _sum and _count — from raw
-// observations in seconds.
-func WriteHistogram(w io.Writer, name, help string, bounds, observations []float64) {
-	WriteHeader(w, name, help, "histogram")
-	counts := CumulativeCounts(observations, bounds)
-	for i, b := range bounds {
-		WriteSample(w, name+"_bucket", []Label{{Name: "le", Value: formatValue(b)}}, float64(counts[i]))
-	}
-	WriteSample(w, name+"_bucket", []Label{{Name: "le", Value: "+Inf"}}, float64(counts[len(bounds)]))
-	var sum float64
-	for _, v := range observations {
-		sum += v
-	}
-	WriteSample(w, name+"_sum", nil, sum)
-	WriteSample(w, name+"_count", nil, float64(len(observations)))
-}

@@ -139,8 +139,12 @@ func TestCumulativeCounts(t *testing.T) {
 }
 
 func TestWriteHistogramFormat(t *testing.T) {
+	h := NewHist([]float64{0.1, 1})
+	for _, v := range []float64{0.05, 0.5, 5} {
+		h.Observe(v)
+	}
 	var sb strings.Builder
-	WriteHistogram(&sb, "gllm_test_seconds", "test metric", []float64{0.1, 1}, []float64{0.05, 0.5, 5})
+	WriteFamilies(&sb, []Family{HistogramFamily("gllm_test_seconds", "test metric", h.Snapshot())})
 	out := sb.String()
 	for _, want := range []string{
 		"# HELP gllm_test_seconds test metric",
